@@ -8,7 +8,8 @@
 //! The leader-election black box is a type parameter implementing
 //! [`LeaderElectionBehavior`], defaulting in practice to
 //! [`TournamentLe`](leader_election::tournament::TournamentLe)
-//! (see DESIGN.md §3 for the substitution rationale).
+//! (see the "Substitutions" section of `docs/PAPER_MAP.md` for the
+//! rationale).
 
 use leader_election::LeaderElectionBehavior;
 use population::{Protocol, RankOutput};

@@ -9,7 +9,11 @@
 //! block boundaries:
 //!
 //! * the churn process ([`ChurnProcess`]) injects Poisson arrivals and
-//!   exponential departures;
+//!   exponential departures, surfaced to the run loop
+//!   ([`population::drive`]) as the engine's own due points
+//!   ([`Engine::next_event`] / [`Engine::apply_events`]): a burst ends
+//!   exactly at the next one, and at a shared count faults fire first,
+//!   then membership changes apply;
 //! * departing agents route through **explicit rank release** into a
 //!   FIFO free-list, which arrivals lease (entering directly ranked) —
 //!   PR 5 showed silent replacement of a ranked agent livelocks FSeq
@@ -39,8 +43,8 @@ use std::collections::VecDeque;
 
 use population::schedule::BLOCK_PAIRS;
 use population::{
-    CursorSource, FaultHook, Frame, Membership, NoFaults, NullProbe, PackedProtocol, Probe,
-    Protocol, RankOutput, Schedule, ScheduleCursor, WordState,
+    drive, CursorSource, Engine, Frame, Membership, NoFaults, NoPoll, NullCheckpointer, NullProbe,
+    PackedProtocol, Probe, Protocol, RankOutput, Schedule, ScheduleCursor, WordState,
 };
 use ranking::stable::{PackedState, StableRanking, StableState};
 use ranking::{EpochParams, Params};
@@ -296,7 +300,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
     // ------------------------------------------------------------------
 
     /// Execute `count` interactions (plus any lifecycle events falling
-    /// due along the way).
+    /// due along the way, including those due exactly at the end).
     pub fn run(&mut self, count: u64) {
         self.run_probed(count, &mut NullProbe);
     }
@@ -304,113 +308,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
     /// [`run`](Self::run) with a [`Probe`] invoked at block boundaries
     /// and on every membership change.
     pub fn run_probed<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        self.run_faulted_probed(count, &mut NoFaults, probe);
-    }
-
-    /// Run under a fault hook *and* a probe. The batched loop splits
-    /// exactly at fault fire points and lifecycle event times; at a
-    /// shared boundary faults fire first (matching the fixed-n
-    /// engine's fault/checkpoint ordering), then membership changes
-    /// apply.
-    pub fn run_faulted_probed<H: FaultHook<P>, B: Probe<P>>(
-        &mut self,
-        count: u64,
-        hook: &mut H,
-        probe: &mut B,
-    ) {
-        let deadline = self.interactions.saturating_add(count);
-        loop {
-            while let Some(at) = hook.next_fire(self.interactions) {
-                if at > self.interactions {
-                    break;
-                }
-                hook.fire(&self.protocol, self.interactions, &mut self.states);
-                if B::ACTIVE {
-                    probe.fault(&self.protocol, self.interactions, &self.states);
-                }
-            }
-            self.process_due(probe);
-            if self.interactions >= deadline {
-                return;
-            }
-            let mut stop = deadline;
-            if let Some(t) = hook.next_fire(self.interactions) {
-                stop = stop.min(t);
-            }
-            if let Some(t) = self.next_lifecycle_event() {
-                stop = stop.min(t);
-            }
-            debug_assert!(stop > self.interactions, "event scheduled in the past");
-            let mut remaining = stop - self.interactions;
-            while remaining > 0 {
-                let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-                let block = self.schedule.sample_block(want);
-                let changed = self.protocol.transition_block(&mut self.states, block);
-                let executed = block.len() as u64;
-                self.interactions += executed;
-                remaining -= executed;
-                if B::ACTIVE {
-                    probe.block(
-                        &self.protocol,
-                        self.interactions,
-                        changed,
-                        0,
-                        0,
-                        &self.states,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Earliest pending lifecycle event (arrival or roster due time),
-    /// strictly in the future after [`process_due`](Self::process_due).
-    fn next_lifecycle_event(&self) -> Option<u64> {
-        let mut next = self.churn.next_arrival();
-        for rec in &self.roster {
-            if rec.due == u64::MAX {
-                continue;
-            }
-            if matches!(
-                rec.phase,
-                Lifecycle::Active | Lifecycle::Hibernating | Lifecycle::Dormant
-            ) {
-                next = Some(next.map_or(rec.due, |t| t.min(rec.due)));
-            }
-        }
-        next
-    }
-
-    /// Apply every lifecycle event due at the current interaction
-    /// count, in a fixed deterministic order: roster transitions in
-    /// ascending agent id, then arrivals. Rebuilds the schedule and
-    /// checks the epoch band afterwards if anything changed.
-    fn process_due<B: Probe<P>>(&mut self, probe: &mut B) {
-        let now = self.interactions;
-        let mut dirty = false;
-        for id in 0..self.roster.len() as u32 {
-            let rec = &self.roster[id as usize];
-            if rec.due > now {
-                continue;
-            }
-            match rec.phase {
-                Lifecycle::Active => self.depart(id, now, probe),
-                Lifecycle::Hibernating => self.go_dormant(id, now),
-                Lifecycle::Dormant => self.revive(id, now, probe),
-                // Spawning/Departed records never carry due times.
-                Lifecycle::Spawning | Lifecycle::Departed => {}
-            }
-            dirty = true;
-        }
-        while self.churn.next_arrival().is_some_and(|t| t <= now) {
-            self.churn.pop_arrival();
-            self.spawn(now, probe);
-            dirty = true;
-        }
-        if dirty {
-            self.resize_schedule();
-            self.reparameterize();
-        }
+        drive(self, count, &mut NoFaults, NullCheckpointer, NoPoll, probe);
     }
 
     /// An active agent's lifetime ended: hibernate or leave for good.
@@ -954,6 +852,101 @@ impl<P: DynRanking> DynamicPopulation<P> {
     }
 }
 
+/// The dynamic population under [`drive`]: its lifecycle events are the
+/// engine-internal due points, applied after faults fire and before
+/// checkpoints save or observers poll.
+impl<P: DynRanking> Engine for DynamicPopulation<P> {
+    type Protocol = P;
+
+    fn protocol(&self) -> &P {
+        &self.protocol
+    }
+
+    fn interactions(&self) -> u64 {
+        self.interactions
+    }
+
+    fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
+        let mut remaining = count;
+        while remaining > 0 {
+            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
+            let block = self.schedule.sample_block(want);
+            let changed = self.protocol.transition_block(&mut self.states, block);
+            let executed = block.len() as u64;
+            self.interactions += executed;
+            remaining -= executed;
+            if B::ACTIVE {
+                probe.block(
+                    &self.protocol,
+                    self.interactions,
+                    changed,
+                    0,
+                    0,
+                    &self.states,
+                );
+            }
+        }
+    }
+
+    fn read<R>(&self, f: impl FnOnce(&[P::State]) -> R) -> R {
+        f(&self.states)
+    }
+
+    fn write<R>(&mut self, f: impl FnOnce(&P, &mut [P::State]) -> R) -> R {
+        f(&self.protocol, &mut self.states)
+    }
+
+    /// Earliest pending lifecycle event (arrival or roster due time),
+    /// strictly in the future after [`apply_events`](Engine::apply_events).
+    fn next_event(&self) -> Option<u64> {
+        let mut next = self.churn.next_arrival();
+        for rec in &self.roster {
+            if rec.due == u64::MAX {
+                continue;
+            }
+            if matches!(
+                rec.phase,
+                Lifecycle::Active | Lifecycle::Hibernating | Lifecycle::Dormant
+            ) {
+                next = Some(next.map_or(rec.due, |t| t.min(rec.due)));
+            }
+        }
+        next
+    }
+
+    /// Apply every lifecycle event due at the current interaction
+    /// count, in a fixed deterministic order: roster transitions in
+    /// ascending agent id, then arrivals. Rebuilds the schedule and
+    /// checks the epoch band afterwards if anything changed.
+    fn apply_events<B: Probe<P>>(&mut self, probe: &mut B) {
+        let now = self.interactions;
+        let mut dirty = false;
+        for id in 0..self.roster.len() as u32 {
+            let rec = &self.roster[id as usize];
+            if rec.due > now {
+                continue;
+            }
+            match rec.phase {
+                Lifecycle::Active => self.depart(id, now, probe),
+                Lifecycle::Hibernating => self.go_dormant(id, now),
+                Lifecycle::Dormant => self.revive(id, now, probe),
+                // Spawning/Departed records never carry due times.
+                Lifecycle::Spawning | Lifecycle::Departed => {}
+            }
+            dirty = true;
+        }
+        while self.churn.next_arrival().is_some_and(|t| t <= now) {
+            self.churn.pop_arrival();
+            self.spawn(now, probe);
+            dirty = true;
+        }
+        if dirty {
+            self.resize_schedule();
+            self.reparameterize();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -980,6 +973,73 @@ mod tests {
         assert_eq!(dynpop.live(), n);
         assert_eq!(snap_counter(&dynpop, "dyn_joins"), 0);
         assert_eq!(snap_counter(&dynpop, "dyn_leaves"), 0);
+    }
+
+    #[test]
+    fn drive_applies_membership_after_faults_and_before_polls() {
+        use population::{Control, FaultHook, Observer, Watch};
+        use std::cell::RefCell;
+
+        type Log = RefCell<Vec<(u64, &'static str)>>;
+        struct Fault<'a>(Option<u64>, &'a Log);
+        impl<P: Protocol> FaultHook<P> for Fault<'_> {
+            fn next_fire(&mut self, now: u64) -> Option<u64> {
+                self.0.filter(|&t| t >= now)
+            }
+            fn fire(&mut self, _: &P, t: u64, _: &mut [P::State]) {
+                self.1.borrow_mut().push((t, "fault"));
+                self.0 = None;
+            }
+        }
+        struct Polled<'a>(&'a Log);
+        impl<P: Protocol> Observer<P> for Polled<'_> {
+            fn observe(&mut self, _: &P, t: u64, _: &[P::State]) -> Control {
+                self.0.borrow_mut().push((t, "poll"));
+                Control::Continue
+            }
+        }
+        struct Joins<'a>(&'a Log);
+        impl<P: Protocol> Probe<P> for Joins<'_> {
+            fn membership(&mut self, _: &P, t: u64, _: u32, _: Membership) {
+                self.0.borrow_mut().push((t, "membership"));
+            }
+        }
+
+        // Agent 0 departs at 100, where a fault and a poll are also due.
+        let config = ChurnConfig {
+            arrivals_per_million: 0.0,
+            mean_lifetime: 0.0,
+            hibernate_prob: 0.0,
+            mean_hibernate_dwell: 0.0,
+            mean_dormant_dwell: 0.0,
+            rank_lease: true,
+        };
+        let mut engine = DynamicPopulation::<StableRanking>::new(Params::new(8), config, 5);
+        engine.roster[0].due = 100;
+        let log = Log::default();
+        let mut poll = Polled(&log);
+        drive(
+            &mut engine,
+            100,
+            &mut Fault(Some(100), &log),
+            NullCheckpointer,
+            Watch::new(&mut poll, 100),
+            &mut Joins(&log),
+        );
+        assert_eq!(
+            log.into_inner(),
+            [
+                (0, "poll"),
+                (100, "fault"),
+                (100, "membership"),
+                (100, "poll")
+            ]
+        );
+        assert_eq!(
+            engine.live(),
+            7,
+            "the departure due at the deadline applied"
+        );
     }
 
     #[test]

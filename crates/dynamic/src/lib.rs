@@ -12,7 +12,11 @@
 //! * [`engine`] — [`DynamicPopulation`]: the dense-lane engine that
 //!   composes churn with the existing seams (schedule cursors, probes,
 //!   fault hooks, `WordState` snapshots with a DYNPOP section) and
-//!   handles epoch-based re-parameterization plus rank leasing.
+//!   handles epoch-based re-parameterization plus rank leasing. It is a
+//!   [`population::Engine`] whose lifecycle events are engine-internal
+//!   due points, so [`population::drive`] runs it like any fixed-n
+//!   engine: at a shared count, faults fire, then membership changes
+//!   apply, then observers poll.
 //!
 //! The design invariant, property-tested in
 //! `tests/dynamic_equivalence.rs`: **a zero-churn dynamic run is

@@ -3,10 +3,9 @@
 //! state export ([`HookState`]), and the [`Checkpointer`] driver hook.
 //!
 //! Like the [`Probe`](crate::Probe) seam, checkpointing is **zero-cost
-//! when off**: the `run_checkpointed` / `run_faulted_checkpointed` paths
-//! gate on [`Checkpointer::ACTIVE`] and delegate to the plain run loops
-//! for [`NullCheckpointer`], so the un-checkpointed hot path is the
-//! identical machine code, not a loop of no-op saves.
+//! when off**: [`drive`](crate::drive) gates every save step on
+//! [`Checkpointer::ACTIVE`], so for [`NullCheckpointer`] the save steps
+//! compile away and no burst is split for them.
 //!
 //! The seam deliberately knows nothing about files, formats, or
 //! checksums — a [`Checkpointer`] receives a [`Frame`] (interaction
@@ -14,9 +13,8 @@
 //! [`FaultState`] and does whatever durability means to it. The
 //! `snapshot` crate's sink is the canonical implementation: versioned
 //! CRC-checked files in a rotation directory. Keeping the seam here (the
-//! bottom of the crate graph) is what lets `Simulator`,
-//! `ShardedSimulator`, and the `scenarios` drivers all thread through it
-//! without a dependency cycle.
+//! bottom of the crate graph) is what lets every [`Framed`](crate::Framed)
+//! engine thread through it without a dependency cycle.
 //!
 //! The keystone property the seam exists to uphold: **a run restored
 //! from a frame at interaction count `t` continues bit-for-bit
@@ -186,9 +184,8 @@ impl<H: HookState> HookState for crate::UnpackedHook<H> {
 /// is its own deterministic trajectory: reproducible given the same
 /// cadence, compared against a checkpointed-but-uninterrupted twin.
 pub trait Checkpointer {
-    /// `false` for [`NullCheckpointer`]: the checkpointed run paths
-    /// delegate to the plain loops before entering their own, so the
-    /// disabled seam costs nothing.
+    /// `false` for [`NullCheckpointer`]: [`drive`](crate::drive) then
+    /// skips every save step, so the disabled seam costs nothing.
     const ACTIVE: bool;
 
     /// The earliest interaction count at (or after) `now` where the
@@ -200,8 +197,8 @@ pub trait Checkpointer {
 }
 
 /// The inactive checkpointer: `run_checkpointed` with this type *is*
-/// `run_batched` — the delegation happens before the checkpointed loop,
-/// so the hot path is untouched machine code.
+/// `run_batched` — [`drive`](crate::drive) never asks it for a due
+/// time, so the hot path is untouched machine code.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullCheckpointer;
 

@@ -10,7 +10,7 @@
 //!
 //! # Architecture
 //!
-//! The engine is split into three orthogonal layers:
+//! The engine is split into orthogonal layers:
 //!
 //! * **Scheduling** — the [`schedule::PairSource`] trait produces the
 //!   ordered pairs; [`schedule::Schedule`] is the canonical
@@ -30,10 +30,19 @@
 //!   interaction; [`Simulator::run_batched`] is the hot path, executing
 //!   interactions in blocks with no per-interaction bookkeeping. The two
 //!   are bit-for-bit trajectory-equivalent under the same seed.
-//!   [`Simulator::run_faulted`] splits the batched loop at exact
-//!   interaction counts where a [`FaultHook`] wants to corrupt the
-//!   configuration — the seam the fault-injection subsystem drives.
-//! * **Observation** — the [`observe::Observer`] pipeline. The engine
+//! * **Driving** — every hooked run goes through one loop,
+//!   [`engine::drive`], over any [`engine::Engine`] (this crate's
+//!   [`Simulator`], the `shard` crate's sharded engine, the `dynamic`
+//!   crate's churning population). An engine supplies only its block
+//!   loop and access to its configuration; `drive` splits the run at
+//!   the earliest count where a hook is due and, at each such count,
+//!   acts in one fixed order: [`FaultHook`] firings, engine-internal
+//!   events, [`Checkpointer`] saves, then the observer poll. The named
+//!   entry points — [`Simulator::run_faulted`],
+//!   [`Simulator::run_checkpointed`], [`Simulator::run_observed`] and
+//!   friends — are one-line calls into it, and any other combination
+//!   of hooks is a direct `drive` call.
+//! * **Observation** — the [`observe::Observer`] pipeline. The driver
 //!   polls observers at checkpoints (every `check_every` interactions);
 //!   observers decide when to stop and what to record. Convergence
 //!   predicates ([`observe::Convergence`]), silence detection
@@ -44,10 +53,10 @@
 //!   [`Simulator::run_observed`]; [`Simulator::run_until`] and
 //!   [`Simulator::run_sampled`] are sugar for the two most common cases.
 //!   Orthogonal to observers, the [`Probe`] seam lets a flight recorder
-//!   watch runs at block, exchange, checkpoint, and fault boundaries
-//!   through the `*_probed` run paths — read-only by construction, and
-//!   compiled out entirely for [`NullProbe`] (the `telemetry` crate's
-//!   `Recorder` is the canonical recording probe).
+//!   watch runs at block, exchange, checkpoint, and fault boundaries —
+//!   read-only by construction, and compiled out entirely for
+//!   [`NullProbe`] (the `telemetry` crate's `Recorder` is the canonical
+//!   recording probe).
 //!
 //! * **State representation** — protocols whose state space fits in a
 //!   machine word implement [`PackedProtocol`] (a lossless codec plus a
@@ -67,11 +76,11 @@
 //! * [`Protocol`] — the transition function and population size.
 //! * [`Simulator`] — the seeded, deterministic executor described above.
 //! * [`schedule`] — the uniform scheduler with block pre-sampling.
+//! * [`engine`] — the [`Engine`] trait and the one run loop, [`drive`].
 //! * [`checkpoint`] — the checkpoint/restore seam: [`WordState`] state
 //!   serialization, [`schedule::ScheduleCursor`] position capture, and
-//!   the [`Checkpointer`] hook driven by
-//!   [`Simulator::run_checkpointed`] (zero-cost when off, like the
-//!   [`Probe`] seam; the `snapshot` crate provides the durable
+//!   the [`Checkpointer`] hook [`drive`] schedules (zero-cost when off,
+//!   like the [`Probe`] seam; the `snapshot` crate provides the durable
 //!   implementation).
 //! * [`observe`] — the composable observer pipeline.
 //! * [`silence`] — an exhaustive checker for the *silent* property: a
@@ -145,6 +154,7 @@ mod protocol;
 mod sim;
 
 pub mod checkpoint;
+pub mod engine;
 pub mod modelcheck;
 pub mod observe;
 pub mod primitives;
@@ -156,6 +166,7 @@ pub use checkpoint::{
     Cadence, Checkpointer, FaultState, Frame, HookState, MemoryCheckpointer, NullCheckpointer,
     WordState,
 };
+pub use engine::{drive, Engine, Framed, NoPoll, Poll, Save, StateOf, Watch};
 pub use observe::{
     Control, HonestRanking, Observer, ShardObserver, ShardedRanking, ShardedSilence,
 };

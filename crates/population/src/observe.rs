@@ -17,7 +17,9 @@
 //! * [`Meter`] — count checkpoints and remember the last observed time.
 //!
 //! Observers compose as tuples: `(&mut a, &mut b)` polls both and stops
-//! as soon as *any* member requests a stop. The engine entry point is
+//! as soon as *any* member requests a stop. The driver polls them in
+//! its observer role ([`Watch`](crate::Watch) in
+//! [`drive`](crate::drive)); the usual entry point is
 //! [`Simulator::run_observed`](crate::Simulator::run_observed);
 //! [`run_until`](crate::Simulator::run_until) and
 //! [`run_sampled`](crate::Simulator::run_sampled) are thin sugar over

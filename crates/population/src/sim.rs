@@ -1,7 +1,8 @@
-use crate::checkpoint::{Checkpointer, Frame, HookState, WordState};
+use crate::checkpoint::{Checkpointer, Frame, HookState, NullCheckpointer, WordState};
+use crate::engine::{drive, Engine, Framed, NoPoll, Watch};
 use crate::observe::{Convergence, Observer, Sampler};
 use crate::pairs::pair_mut;
-use crate::probe::Probe;
+use crate::probe::{NullProbe, Probe};
 use crate::protocol::{BatchedProtocol, Packed, Protocol};
 use crate::schedule::{CursorSource, PairSource, Schedule, BLOCK_PAIRS};
 
@@ -30,9 +31,10 @@ impl StopReason {
 
 /// A hook for injecting faults into a run at exact interaction counts.
 ///
-/// The engine itself knows nothing about fault semantics; it only agrees
-/// to (a) ask the hook where it next wants control and (b) hand it
-/// mutable access to the configuration when the run reaches that point.
+/// The engine itself knows nothing about fault semantics; the run loop
+/// ([`drive`]) only agrees to (a) ask the hook where it next wants
+/// control and (b) hand it mutable access to the configuration when the
+/// run reaches that point.
 /// The `scenarios` crate's `FaultPlan` is the canonical implementation;
 /// an empty plan leaves [`Simulator::run_faulted`] bit-for-bit
 /// trajectory-equivalent to [`Simulator::run_batched`] (faults only ever
@@ -150,11 +152,15 @@ impl<P: BatchedProtocol, H: FaultHook<P>> FaultHook<crate::ScalarBlock<Packed<P>
 ///   pre-sampled in blocks and applied in a tight loop. **Bit-for-bit
 ///   trajectory-equivalent** to scalar stepping under the same seed.
 ///
-/// Observation happens through the [`Observer`] pipeline via
-/// [`run_observed`](Simulator::run_observed), with
-/// [`run_until`](Simulator::run_until) and
+/// Faults, checkpoints and observers are scheduled by the one run loop,
+/// [`drive`], for which `Simulator` is an [`Engine`]:
+/// [`run_faulted`](Simulator::run_faulted),
+/// [`run_checkpointed`](Simulator::run_checkpointed),
+/// [`run_faulted_checkpointed`](Simulator::run_faulted_checkpointed) and
+/// [`run_observed`](Simulator::run_observed) are single `drive` calls,
+/// with [`run_until`](Simulator::run_until) and
 /// [`run_sampled`](Simulator::run_sampled) as sugar for the two most
-/// common observers.
+/// common observers. Any other combination is a direct `drive` call.
 ///
 /// ```
 /// use population::{Protocol, Simulator};
@@ -269,15 +275,7 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
     /// (kernels skip the write-back of unchanged words); this is why
     /// the `changed` flag's "no false negatives" contract exists.
     pub fn run_batched(&mut self, count: u64) {
-        let mut remaining = count;
-        while remaining > 0 {
-            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-            let block = self.schedule.sample_block(want);
-            self.protocol.transition_block(&mut self.states, block);
-            let executed = block.len() as u64;
-            self.interactions += executed;
-            remaining -= executed;
-        }
+        self.advance(count, &mut NullProbe);
     }
 
     /// Execute exactly `count` interactions (batched).
@@ -292,36 +290,16 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
     /// final configuration and interaction count are bit-for-bit those
     /// of `run_batched` under the same seed, whatever the probe records.
     /// For an inactive probe ([`Probe::ACTIVE`]` == false`, e.g.
-    /// [`NullProbe`](crate::NullProbe)) this method *delegates* to
-    /// `run_batched` before entering the loop — the untraced path is the
-    /// identical machine code, not an instrumented loop of no-ops.
+    /// [`NullProbe`]) the probe calls compile away and this *is*
+    /// `run_batched`.
     pub fn run_probed<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        if !B::ACTIVE {
-            return self.run_batched(count);
-        }
-        let mut remaining = count;
-        while remaining > 0 {
-            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-            let block = self.schedule.sample_block(want);
-            let changed = self.protocol.transition_block(&mut self.states, block);
-            let executed = block.len() as u64;
-            self.interactions += executed;
-            remaining -= executed;
-            probe.block(
-                &self.protocol,
-                self.interactions,
-                changed,
-                0,
-                0,
-                &self.states,
-            );
-        }
+        self.advance(count, probe);
     }
 
     /// Drive the simulation under an [`Observer`]: the observer is
     /// polled once before the first step and then every `check_every`
     /// interactions, until it stops the run or `max_interactions` have
-    /// been executed.
+    /// been executed. [`drive`] with a [`Watch`].
     ///
     /// # Panics
     ///
@@ -332,69 +310,15 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
         check_every: u64,
         observer: &mut O,
     ) -> StopReason {
-        assert!(check_every > 0, "check_every must be positive");
-        if observer
-            .observe(&self.protocol, self.interactions, &self.states)
-            .is_stop()
-        {
-            return StopReason::Converged(self.interactions);
-        }
-        let deadline = self.interactions + max_interactions;
-        while self.interactions < deadline {
-            let burst = check_every.min(deadline - self.interactions);
-            self.run_batched(burst);
-            if observer
-                .observe(&self.protocol, self.interactions, &self.states)
-                .is_stop()
-            {
-                return StopReason::Converged(self.interactions);
-            }
-        }
-        StopReason::BudgetExhausted
-    }
-
-    /// [`run_observed`](Simulator::run_observed) with an
-    /// instrumentation [`Probe`]: bursts run through
-    /// [`run_probed`](Simulator::run_probed), and the probe's
-    /// [`checkpoint`](Probe::checkpoint) hook fires at every observer
-    /// poll (with `stopping` reporting the observer's verdict).
-    /// Delegates to `run_observed` for inactive probes; trajectory-inert
-    /// otherwise, exactly like `run_probed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_every == 0`.
-    pub fn run_observed_probed<O: Observer<P>, B: Probe<P>>(
-        &mut self,
-        max_interactions: u64,
-        check_every: u64,
-        observer: &mut O,
-        probe: &mut B,
-    ) -> StopReason {
-        if !B::ACTIVE {
-            return self.run_observed(max_interactions, check_every, observer);
-        }
-        assert!(check_every > 0, "check_every must be positive");
-        let stop = observer
-            .observe(&self.protocol, self.interactions, &self.states)
-            .is_stop();
-        probe.checkpoint(&self.protocol, self.interactions, stop);
-        if stop {
-            return StopReason::Converged(self.interactions);
-        }
-        let deadline = self.interactions + max_interactions;
-        while self.interactions < deadline {
-            let burst = check_every.min(deadline - self.interactions);
-            self.run_probed(burst, probe);
-            let stop = observer
-                .observe(&self.protocol, self.interactions, &self.states)
-                .is_stop();
-            probe.checkpoint(&self.protocol, self.interactions, stop);
-            if stop {
-                return StopReason::Converged(self.interactions);
-            }
-        }
-        StopReason::BudgetExhausted
+        let watch = Watch::new(observer, check_every);
+        drive(
+            self,
+            max_interactions,
+            &mut NoFaults,
+            NullCheckpointer,
+            watch,
+            &mut NullProbe,
+        )
     }
 
     /// Run until `converged` returns true (polled every `check_every`
@@ -436,7 +360,8 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
     }
 
     /// Execute exactly `count` interactions (batched), handing control
-    /// to `hook` at every interaction count where it asks to fire.
+    /// to `hook` at every interaction count where it asks to fire —
+    /// [`drive`] with a fault hook only.
     ///
     /// The batched loop is split *exactly* at fire points, so faults are
     /// injected at precise interaction counts — a fault scheduled at `t`
@@ -451,62 +376,7 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
     /// interaction executes; hooks due exactly at the end of the run
     /// fire before it returns.
     pub fn run_faulted<H: FaultHook<P>>(&mut self, count: u64, hook: &mut H) {
-        let deadline = self.interactions + count;
-        loop {
-            // Fire everything due at the current interaction count. The
-            // hook contract (fire advances past `t`) makes this loop
-            // finite.
-            while hook
-                .next_fire(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                hook.fire(&self.protocol, self.interactions, &mut self.states);
-            }
-            if self.interactions >= deadline {
-                return;
-            }
-            let stop = match hook.next_fire(self.interactions) {
-                Some(t) if t < deadline => t,
-                _ => deadline,
-            };
-            self.run_batched(stop - self.interactions);
-        }
-    }
-
-    /// [`run_faulted`](Simulator::run_faulted) with an instrumentation
-    /// [`Probe`]: bursts run through
-    /// [`run_probed`](Simulator::run_probed), and the probe's
-    /// [`fault`](Probe::fault) hook fires after every hook firing with
-    /// the post-mutation configuration. Delegates to `run_faulted` for
-    /// inactive probes; trajectory-inert otherwise (the same fire
-    /// points, the same pair stream).
-    pub fn run_faulted_probed<H: FaultHook<P>, B: Probe<P>>(
-        &mut self,
-        count: u64,
-        hook: &mut H,
-        probe: &mut B,
-    ) {
-        if !B::ACTIVE {
-            return self.run_faulted(count, hook);
-        }
-        let deadline = self.interactions + count;
-        loop {
-            while hook
-                .next_fire(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                hook.fire(&self.protocol, self.interactions, &mut self.states);
-                probe.fault(&self.protocol, self.interactions, &self.states);
-            }
-            if self.interactions >= deadline {
-                return;
-            }
-            let stop = match hook.next_fire(self.interactions) {
-                Some(t) if t < deadline => t,
-                _ => deadline,
-            };
-            self.run_probed(stop - self.interactions, probe);
-        }
+        drive(self, count, hook, NullCheckpointer, NoPoll, &mut NullProbe);
     }
 
     /// Consume the simulator, returning the final configuration.
@@ -559,23 +429,19 @@ impl<P: WordState, S: CursorSource> Simulator<P, S> {
     /// [`run_batched`](Simulator::run_batched) with periodic state
     /// saves through a [`Checkpointer`]. Sugar for
     /// [`run_faulted_checkpointed`](Simulator::run_faulted_checkpointed)
-    /// with [`NoFaults`]; delegates to `run_batched` for an inactive
-    /// checkpointer (identical hot path, like the [`Probe`] seam).
+    /// with [`NoFaults`].
     pub fn run_checkpointed<C: Checkpointer>(&mut self, count: u64, ckpt: &mut C) {
-        if !C::ACTIVE {
-            return self.run_batched(count);
-        }
         self.run_faulted_checkpointed(count, &mut NoFaults, ckpt);
     }
 
     /// [`run_faulted`](Simulator::run_faulted) with periodic state
-    /// saves: the batched loop splits at both fault fire points *and*
-    /// checkpoint due points, so saves land at exact interaction
-    /// counts. At a count where both are due, faults fire **first** —
-    /// the saved frame then reflects the post-fault configuration and a
-    /// hook already advanced past `t`, so a resume from it replays
-    /// nothing. Delegates to `run_faulted` for an inactive
-    /// checkpointer.
+    /// saves: [`drive`] splits the batched loop at both fault fire
+    /// points *and* checkpoint due points, so saves land at exact
+    /// interaction counts. At a count where both are due, faults fire
+    /// **first** — the saved frame then reflects the post-fault
+    /// configuration and a hook already advanced past `t`, so a resume
+    /// from it replays nothing. For an inactive checkpointer this is
+    /// `run_faulted`.
     ///
     /// Checkpointing is trajectory-inert here: the pair stream is FIFO,
     /// so splitting bursts at save points leaves the sequential
@@ -586,40 +452,55 @@ impl<P: WordState, S: CursorSource> Simulator<P, S> {
         H: FaultHook<P> + HookState,
         C: Checkpointer,
     {
-        if !C::ACTIVE {
-            return self.run_faulted(count, hook);
+        drive(self, count, hook, ckpt, NoPoll, &mut NullProbe);
+    }
+}
+
+impl<P: Protocol, S: PairSource> Engine for Simulator<P, S> {
+    type Protocol = P;
+
+    fn protocol(&self) -> &P {
+        &self.protocol
+    }
+
+    fn interactions(&self) -> u64 {
+        self.interactions
+    }
+
+    fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
+        let mut remaining = count;
+        while remaining > 0 {
+            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
+            let block = self.schedule.sample_block(want);
+            let changed = self.protocol.transition_block(&mut self.states, block);
+            let executed = block.len() as u64;
+            self.interactions += executed;
+            remaining -= executed;
+            if B::ACTIVE {
+                probe.block(
+                    &self.protocol,
+                    self.interactions,
+                    changed,
+                    0,
+                    0,
+                    &self.states,
+                );
+            }
         }
-        let deadline = self.interactions + count;
-        loop {
-            while hook
-                .next_fire(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                hook.fire(&self.protocol, self.interactions, &mut self.states);
-            }
-            while ckpt
-                .next_due(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                let frame = self.frame();
-                ckpt.save(&frame, hook.export_state().as_ref());
-            }
-            if self.interactions >= deadline {
-                return;
-            }
-            let next_event = [
-                hook.next_fire(self.interactions),
-                ckpt.next_due(self.interactions),
-            ]
-            .into_iter()
-            .flatten()
-            .min();
-            let stop = match next_event {
-                Some(t) if t < deadline => t,
-                _ => deadline,
-            };
-            self.run_batched(stop - self.interactions);
-        }
+    }
+
+    fn read<R>(&self, f: impl FnOnce(&[P::State]) -> R) -> R {
+        f(&self.states)
+    }
+
+    fn write<R>(&mut self, f: impl FnOnce(&P, &mut [P::State]) -> R) -> R {
+        f(&self.protocol, &mut self.states)
+    }
+}
+
+impl<P: WordState, S: CursorSource> Framed for Simulator<P, S> {
+    fn frame(&self) -> Frame {
+        Simulator::frame(self)
     }
 }
 

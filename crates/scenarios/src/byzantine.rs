@@ -793,8 +793,8 @@ where
 }
 
 /// [`run_honest`] over the sharded engine — the counterpart of
-/// [`run_recovery_sharded`](crate::recovery::run_recovery_sharded) for
-/// persistent adversaries. Observation goes through the copy-free
+/// [`run_recovery`](crate::recovery::run_recovery) on a sharded engine
+/// for persistent adversaries. Observation goes through the copy-free
 /// [`run_merged`](shard::ShardedSimulator::run_merged) path
 /// ([`HonestRanking`](population::HonestRanking) is a
 /// [`ShardObserver`](population::ShardObserver): each lane contributes

@@ -10,16 +10,21 @@
 //! `recovered_at − injected_at` intervals are the recovery times the
 //! `recovery` bench binary aggregates.
 //!
-//! [`run_recovery`] is the driver: it interleaves
-//! [`Simulator::run_faulted`](population::Simulator::run_faulted)
-//! bursts (faults fire at exact interaction counts) with legality
-//! checkpoints every `check_every` interactions, so — as everywhere else
+//! [`run_recovery`] is the driver, over any [`Engine`]: a single
+//! [`drive`] call with the plan in the fault role and a legality poll in
+//! the observer role. Faults fire at exact interaction counts; legality
+//! is polled every `check_every` interactions, so — as everywhere else
 //! in the engine — recorded recovery times overshoot the true
 //! re-stabilization time by less than the polling period.
+//! [`run_recovery_traced`](crate::run_recovery_traced) is the same
+//! driver with a telemetry recorder riding the [`Probe`] seam.
 
-use population::{Control, Observer, PairSource, Protocol, Simulator};
+use population::{
+    drive, Control, Engine, FaultHook, NullCheckpointer, NullProbe, Observer, Poll, Probe,
+    Protocol, StateOf, UnpackedHook,
+};
 
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, FiredFault};
 
 /// One fault → re-stabilization interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,153 +117,155 @@ impl<P: Protocol, F: FnMut(&P, &[P::State]) -> bool> Observer<P> for Recovery<F>
     }
 }
 
-/// Drive `sim` for up to `max_interactions` under `plan`, recording
-/// every fault → re-stabilization interval into `recovery`.
+/// Read access to a fault plan's firing log — what the recovery driver
+/// correlates its legality polls with. Implemented for [`FaultPlan`]
+/// and for an [`UnpackedHook`] around one (packed runs).
+pub trait FiredLog {
+    /// Every firing so far, in order.
+    fn fired(&self) -> &[FiredFault];
+
+    /// The earliest pending fire time, if any.
+    fn peek_next(&self) -> Option<u64>;
+}
+
+impl<S> FiredLog for FaultPlan<S> {
+    fn fired(&self) -> &[FiredFault] {
+        FaultPlan::fired(self)
+    }
+
+    fn peek_next(&self) -> Option<u64> {
+        FaultPlan::peek_next(self)
+    }
+}
+
+impl<H: FiredLog> FiredLog for UnpackedHook<H> {
+    fn fired(&self) -> &[FiredFault] {
+        self.inner().fired()
+    }
+
+    fn peek_next(&self) -> Option<u64> {
+        self.inner().peek_next()
+    }
+}
+
+/// Drive any [`Engine`] — sequential, sharded, packed — for up to
+/// `max_interactions` under `plan`, recording every fault →
+/// re-stabilization interval into `recovery`.
 ///
 /// Faults fire at their exact scheduled interaction counts (the engine
-/// splits its batched loop there); legality is polled every
-/// `check_every` interactions and once up front. Returns early once
-/// every injected fault has recovered and no further fault can fire
-/// within the budget — so single-shot plans don't burn the full budget
-/// after re-stabilizing.
+/// splits its block loop there); legality is polled every
+/// `check_every` interactions and once up front, after any fault due at
+/// that count has fired. Returns early, at the first poll after the
+/// start, once every injected fault has recovered and no further fault
+/// can fire within the budget — so single-shot plans don't burn the
+/// full budget after re-stabilizing.
 ///
 /// # Panics
 ///
 /// Panics if `check_every == 0`.
-pub fn run_recovery<P, S, F>(
-    sim: &mut Simulator<P, S>,
-    plan: &mut FaultPlan<P::State>,
+pub fn run_recovery<E, H, F>(
+    engine: &mut E,
+    plan: &mut H,
     recovery: &mut Recovery<F>,
     max_interactions: u64,
     check_every: u64,
 ) where
-    P: Protocol,
-    S: PairSource,
-    F: FnMut(&P, &[P::State]) -> bool,
+    E: Engine,
+    H: FaultHook<E::Protocol> + FiredLog,
+    F: FnMut(&E::Protocol, &[StateOf<E>]) -> bool,
 {
-    drive(sim, plan, recovery, max_interactions, check_every);
+    run_recovery_probed(
+        engine,
+        plan,
+        recovery,
+        &mut NullProbe,
+        max_interactions,
+        check_every,
+    );
 }
 
-/// The engine operations the recovery driver needs, implemented for the
-/// sequential and the sharded simulator so the driver loop ([`drive`])
-/// exists exactly once and cannot diverge between the two.
-trait RecoveryEngine<P: Protocol> {
-    /// Interactions executed so far.
-    fn interactions(&self) -> u64;
-
-    /// Execute exactly `burst` interactions under the plan (faults fire
-    /// at their exact scheduled counts).
-    fn run_faulted_burst(&mut self, burst: u64, plan: &mut FaultPlan<P::State>);
-
-    /// Poll the recovery observer on the current configuration.
-    fn observe_into<F: FnMut(&P, &[P::State]) -> bool>(&self, recovery: &mut Recovery<F>);
-}
-
-impl<P: Protocol, S: PairSource> RecoveryEngine<P> for Simulator<P, S> {
-    fn interactions(&self) -> u64 {
-        Simulator::interactions(self)
-    }
-
-    fn run_faulted_burst(&mut self, burst: u64, plan: &mut FaultPlan<P::State>) {
-        self.run_faulted(burst, plan);
-    }
-
-    fn observe_into<F: FnMut(&P, &[P::State]) -> bool>(&self, recovery: &mut Recovery<F>) {
-        recovery.observe(
-            self.protocol(),
-            Simulator::interactions(self),
-            self.states(),
-        );
-    }
-}
-
-impl<P> RecoveryEngine<P> for shard::ShardedSimulator<P>
-where
-    P: Protocol + Sync,
-    P::State: Send,
-{
-    fn interactions(&self) -> u64 {
-        shard::ShardedSimulator::interactions(self)
-    }
-
-    fn run_faulted_burst(&mut self, burst: u64, plan: &mut FaultPlan<P::State>) {
-        self.run_faulted(burst, plan);
-    }
-
-    fn observe_into<F: FnMut(&P, &[P::State]) -> bool>(&self, recovery: &mut Recovery<F>) {
-        recovery.observe(
-            self.protocol(),
-            shard::ShardedSimulator::interactions(self),
-            &self.states(),
-        );
-    }
-}
-
-/// The shared driver loop behind [`run_recovery`] and
-/// [`run_recovery_sharded`].
-fn drive<P, E, F>(
-    sim: &mut E,
-    plan: &mut FaultPlan<P::State>,
+/// [`run_recovery`] with a [`Probe`] riding the run: it sees every
+/// block and fault firing, and each legality poll as a
+/// [`Probe::checkpoint`] whose `stopping` flag marks the early exit.
+///
+/// # Panics
+///
+/// Panics if `check_every == 0`.
+pub(crate) fn run_recovery_probed<E, H, F, B>(
+    engine: &mut E,
+    plan: &mut H,
     recovery: &mut Recovery<F>,
+    probe: &mut B,
     max_interactions: u64,
     check_every: u64,
 ) where
-    P: Protocol,
-    E: RecoveryEngine<P>,
-    F: FnMut(&P, &[P::State]) -> bool,
+    E: Engine,
+    H: FaultHook<E::Protocol> + FiredLog,
+    F: FnMut(&E::Protocol, &[StateOf<E>]) -> bool,
+    B: Probe<E::Protocol>,
 {
     assert!(check_every > 0, "check_every must be positive");
-    let deadline = sim.interactions() + max_interactions;
-    sim.observe_into(recovery);
-    while sim.interactions() < deadline {
-        let burst = check_every.min(deadline - sim.interactions());
-        let seen = plan.fired().len();
-        sim.run_faulted_burst(burst, plan);
-        for f in plan.fired()[seen..].iter().copied() {
-            recovery.note_fault(f.at, f.name);
-        }
-        sim.observe_into(recovery);
-        let more_faults_due = plan.peek_next().is_some_and(|t| t <= deadline);
-        if recovery.all_recovered() && !more_faults_due {
-            break;
-        }
-    }
+    let start = engine.interactions();
+    let poll = RecoveryPoll {
+        recovery,
+        every: check_every,
+        start,
+        deadline: start.saturating_add(max_interactions),
+        seen: plan.fired().len(),
+    };
+    drive(
+        engine,
+        max_interactions,
+        plan,
+        NullCheckpointer,
+        poll,
+        probe,
+    );
 }
 
-/// Drive a **sharded** run for up to `max_interactions` under `plan`,
-/// recording every fault → re-stabilization interval into `recovery` —
-/// the sharded counterpart of [`run_recovery`], built on
-/// [`ShardedSimulator::run_faulted`](shard::ShardedSimulator::run_faulted).
-///
-/// Faults still fire at their exact scheduled interaction counts (the
-/// sharded engine splits its blocks there, just like the sequential
-/// one), and legality is polled on configuration snapshots every
-/// `check_every` interactions. With `shards = 1` this is
-/// trajectory-equivalent to [`run_recovery`] over a uniform
-/// [`Schedule`](population::Schedule).
-///
-/// # Panics
-///
-/// Panics if `check_every == 0`.
-pub fn run_recovery_sharded<P, F>(
-    sim: &mut shard::ShardedSimulator<P>,
-    plan: &mut FaultPlan<P::State>,
-    recovery: &mut Recovery<F>,
-    max_interactions: u64,
-    check_every: u64,
-) where
-    P: Protocol + Sync,
-    P::State: Send,
-    F: FnMut(&P, &[P::State]) -> bool,
+/// The observer role of the recovery driver: note the faults fired
+/// since the last poll, poll legality, and stop once everything has
+/// recovered with no fault left to fire.
+struct RecoveryPoll<'a, F> {
+    recovery: &'a mut Recovery<F>,
+    every: u64,
+    start: u64,
+    deadline: u64,
+    /// Length of the plan's firing log at the last poll.
+    seen: usize,
+}
+
+impl<E, H, F> Poll<E, H> for RecoveryPoll<'_, F>
+where
+    E: Engine,
+    H: FiredLog,
+    F: FnMut(&E::Protocol, &[StateOf<E>]) -> bool,
 {
-    drive(sim, plan, recovery, max_interactions, check_every);
+    fn every(&self) -> u64 {
+        self.every
+    }
+
+    fn poll(&mut self, engine: &E, plan: &H) -> Control {
+        for f in &plan.fired()[self.seen..] {
+            self.recovery.note_fault(f.at, f.name);
+        }
+        self.seen = plan.fired().len();
+        let t = engine.interactions();
+        engine.read(|states| self.recovery.observe(engine.protocol(), t, states));
+        let more_faults_due = plan.peek_next().is_some_and(|at| at <= self.deadline);
+        if t > self.start && self.recovery.all_recovered() && !more_faults_due {
+            Control::Stop
+        } else {
+            Control::Continue
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::StateRewrite;
-    use population::Protocol;
+    use population::{Protocol, Simulator};
     use rand::rngs::SmallRng;
 
     /// "Infection" protocol: state counts down to 0; legal iff all zero.
@@ -350,7 +357,7 @@ mod tests {
         let mut sharded = shard::ShardedSimulator::new(Decay(n), vec![0; n], 3, 1);
         let mut sh_plan = make_plan();
         let mut sh_rec = Recovery::new(legal);
-        run_recovery_sharded(&mut sharded, &mut sh_plan, &mut sh_rec, 100_000, 100);
+        run_recovery(&mut sharded, &mut sh_plan, &mut sh_rec, 100_000, 100);
 
         assert_eq!(sh_rec.events(), seq_rec.events());
         assert_eq!(sharded.states(), seq.states());
@@ -363,7 +370,7 @@ mod tests {
         let mut sim = shard::ShardedSimulator::new(Decay(n), vec![0; n], 7, 4);
         let mut plan = FaultPlan::new(1).once(500, corrupt_to(40, 6));
         let mut rec = Recovery::new(|_: &Decay, s: &[u32]| s.iter().all(|&x| x == 0));
-        run_recovery_sharded(&mut sim, &mut plan, &mut rec, 100_000, 100);
+        run_recovery(&mut sim, &mut plan, &mut rec, 100_000, 100);
 
         let events = rec.events();
         assert_eq!(events.len(), 1);

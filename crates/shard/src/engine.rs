@@ -5,8 +5,9 @@ use std::sync::{Barrier, Mutex};
 use population::observe::{Convergence, ShardObserver};
 use population::schedule::{Pair, ScheduleCursor, SubSchedule, BLOCK_PAIRS};
 use population::{
-    Checkpointer, CursorSource, FaultHook, Frame, HookState, NoFaults, Observer, PairSource, Probe,
-    Protocol, StopReason, WordState,
+    drive, Checkpointer, Control, CursorSource, Engine, FaultHook, Frame, Framed, HookState,
+    NoFaults, NoPoll, NullCheckpointer, NullProbe, Observer, PairSource, Poll, Probe, Protocol,
+    StopReason, Watch, WordState,
 };
 
 use crate::partition::{bounds, rounds, OwnerMap};
@@ -84,14 +85,16 @@ struct Slot<S> {
 /// `shards > 1` follow a different (equally valid) trajectory of the
 /// same balanced-uniform scheduler family.
 ///
-/// # Observation and faults
+/// # Observation, faults and checkpoints
 ///
-/// [`run_observed`](Self::run_observed) polls a whole-configuration
-/// [`Observer`] on a concatenated snapshot (an `O(n)` copy per
-/// checkpoint); [`run_merged`](Self::run_merged) avoids the copy by
-/// evaluating a [`ShardObserver`] through per-shard summaries.
-/// [`run_faulted`](Self::run_faulted) splits blocks at exact fault
-/// interaction counts, exactly like the sequential engine, so
+/// The engine implements [`Engine`] (and [`Framed`]), so every hooked
+/// run is one [`drive`] call. [`Engine::read`] gathers the lanes into a
+/// concatenated snapshot for whole-configuration [`Observer`]s (an
+/// `O(n)` copy per poll; [`run_observed`](Self::run_observed));
+/// [`run_merged`](Self::run_merged) avoids the copy by evaluating a
+/// [`ShardObserver`] through per-shard summaries. Fault hooks receive
+/// the gathered configuration through [`Engine::write`], which scatters
+/// it back afterwards ([`run_faulted`](Self::run_faulted)), so
 /// `scenarios` fault plans drive sharded runs unchanged.
 #[derive(Debug)]
 pub struct ShardedSimulator<P: Protocol> {
@@ -452,38 +455,7 @@ where
     /// Execute exactly `count` interactions through the sharded block
     /// loop (see the type-level docs for the execution model).
     pub fn run(&mut self, count: u64) {
-        let workers = self.workers();
-        if workers <= 1 {
-            self.run_inline(count);
-        } else {
-            self.run_threaded(count, workers);
-        }
-        self.interactions += count;
-    }
-
-    /// The single-worker path: same blocks, same phases, same order —
-    /// executed on the calling thread with no synchronization at all.
-    fn run_inline(&mut self, count: u64) {
-        let cap = (self.shards * self.block_pairs) as u64;
-        let mut remaining = count;
-        while remaining > 0 {
-            let total = remaining.min(cap);
-            let rot = ((self.interactions + (count - remaining)) % self.shards as u64) as usize;
-            for s in 0..self.shards {
-                intra_phase(
-                    &self.protocol,
-                    &self.owners,
-                    &self.slots[s],
-                    quota(total, self.shards, s, rot),
-                );
-            }
-            for round in &self.rounds {
-                for &(a, b) in round {
-                    exchange(&self.protocol, &self.slots[a], &self.slots[b], a, b);
-                }
-            }
-            remaining -= total;
-        }
+        self.advance(count, &mut NullProbe);
     }
 
     /// The multi-worker path: persistent scoped workers advance through
@@ -491,7 +463,8 @@ where
     /// phases; within a phase every worker touches only lanes it
     /// exclusively owns (its shards in the intra phase, its matches'
     /// lane pairs in an exchange round), so the trajectory is identical
-    /// to [`run_inline`](Self::run_inline) regardless of scheduling.
+    /// to the inline loop of [`advance`](Engine::advance) regardless of
+    /// scheduling.
     fn run_threaded(&mut self, count: u64, workers: usize) {
         let cap = (self.shards * self.block_pairs) as u64;
         let num_blocks = count.div_ceil(cap);
@@ -527,6 +500,7 @@ where
                 });
             }
         });
+        self.interactions += count;
     }
 
     /// Drive the sharded run under a whole-configuration [`Observer`]:
@@ -544,27 +518,15 @@ where
         check_every: u64,
         observer: &mut O,
     ) -> StopReason {
-        assert!(check_every > 0, "check_every must be positive");
-        let snapshot = self.states();
-        if observer
-            .observe(&self.protocol, self.interactions, &snapshot)
-            .is_stop()
-        {
-            return StopReason::Converged(self.interactions);
-        }
-        let deadline = self.interactions + max_interactions;
-        while self.interactions < deadline {
-            let burst = check_every.min(deadline - self.interactions);
-            self.run(burst);
-            let snapshot = self.states();
-            if observer
-                .observe(&self.protocol, self.interactions, &snapshot)
-                .is_stop()
-            {
-                return StopReason::Converged(self.interactions);
-            }
-        }
-        StopReason::BudgetExhausted
+        let watch = Watch::new(observer, check_every);
+        drive(
+            self,
+            max_interactions,
+            &mut NoFaults,
+            NullCheckpointer,
+            watch,
+            &mut NullProbe,
+        )
     }
 
     /// Run until `converged` holds over a snapshot (polled every
@@ -597,29 +559,29 @@ where
         observer: &mut O,
     ) -> StopReason {
         assert!(check_every > 0, "check_every must be positive");
-        if self.merge_checkpoint(observer) {
-            return StopReason::Converged(self.interactions);
-        }
-        let deadline = self.interactions + max_interactions;
-        while self.interactions < deadline {
-            let burst = check_every.min(deadline - self.interactions);
-            self.run(burst);
-            if self.merge_checkpoint(observer) {
-                return StopReason::Converged(self.interactions);
-            }
-        }
-        StopReason::BudgetExhausted
+        let merged = Merged {
+            observer,
+            every: check_every,
+        };
+        drive(
+            self,
+            max_interactions,
+            &mut NoFaults,
+            NullCheckpointer,
+            merged,
+            &mut NullProbe,
+        )
     }
 
-    /// Summarize every lane and merge; returns `true` on a stop
-    /// verdict. On large populations the lanes are summarized on
-    /// short-lived scoped worker threads (summaries are `Send`,
-    /// `summarize` takes `&self`), so a checkpoint costs one parallel
-    /// pass over the lanes rather than a serialized `O(n)` scan — the
-    /// point of the merge path. Small populations summarize inline:
-    /// below [`PARALLEL_SUMMARIZE_MIN_N`] the per-checkpoint thread
-    /// spawns would cost more than the scan they parallelize.
-    fn merge_checkpoint<O: ShardObserver<P> + Sync>(&self, observer: &mut O) -> bool {
+    /// Summarize every lane and merge into the observer's verdict. On
+    /// large populations the lanes are summarized on short-lived scoped
+    /// worker threads (summaries are `Send`, `summarize` takes
+    /// `&self`), so a checkpoint costs one parallel pass over the lanes
+    /// rather than a serialized `O(n)` scan — the point of the merge
+    /// path. Small populations summarize inline: below
+    /// [`PARALLEL_SUMMARIZE_MIN_N`] the per-checkpoint thread spawns
+    /// would cost more than the scan they parallelize.
+    fn merge_checkpoint<O: ShardObserver<P> + Sync>(&self, observer: &mut O) -> Control {
         /// Population size below which a summarize pass is cheaper than
         /// spawning threads for it (a lane scan is ~µs work; a thread
         /// spawn+join is ~tens of µs).
@@ -657,9 +619,7 @@ where
                     .map(|s| s.expect("every lane summarized"))
                     .collect()
             };
-        observer
-            .merge(&self.protocol, self.interactions, summaries)
-            .is_stop()
+        observer.merge(&self.protocol, self.interactions, summaries)
     }
 
     /// Execute exactly `count` interactions, handing control to `hook`
@@ -673,69 +633,96 @@ where
     /// [`UnpackedHook`](population::UnpackedHook) for packed runs)
     /// drive sharded runs unchanged.
     pub fn run_faulted<H: FaultHook<P>>(&mut self, count: u64, hook: &mut H) {
-        let deadline = self.interactions + count;
-        loop {
-            while hook
-                .next_fire(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                let mut all = self.states();
-                hook.fire(&self.protocol, self.interactions, &mut all);
-                self.scatter(&all);
-            }
-            if self.interactions >= deadline {
-                return;
-            }
-            let stop = match hook.next_fire(self.interactions) {
-                Some(t) if t < deadline => t,
-                _ => deadline,
-            };
-            let burst = stop - self.interactions;
-            self.run(burst);
-        }
+        drive(self, count, hook, NullCheckpointer, NoPoll, &mut NullProbe);
     }
 
     /// Execute exactly `count` interactions while reporting each block
     /// to `probe` — the sharded counterpart of
     /// [`Simulator::run_probed`](population::Simulator::run_probed).
     ///
-    /// When `B::ACTIVE` is `false` (the [`population::NullProbe`]
-    /// build) this delegates to [`run`](Self::run) immediately, so the
-    /// untraced hot path is exactly today's code. An active probe runs
-    /// the same block sequence single-threaded (the determinism
-    /// contract makes worker count irrelevant to the trajectory): after
-    /// each block's exchange rounds, [`Probe::block`] fires once per
-    /// lane with the lane's intra-phase `changed` count, its global
-    /// `start` offset, and its post-block states, followed by one
-    /// [`Probe::exchange`] carrying the block's boundary-pair count.
-    /// Block timestamps are the interaction count at the end of the
-    /// block.
+    /// An active probe runs the block sequence single-threaded (the
+    /// determinism contract makes worker count irrelevant to the
+    /// trajectory): after each block's exchange rounds,
+    /// [`Probe::block`] fires once per lane with the lane's intra-phase
+    /// `changed` count, its global `start` offset, and its post-block
+    /// states, followed by one [`Probe::exchange`] carrying the block's
+    /// boundary-pair count. Block timestamps are the interaction count
+    /// at the end of the block. For a [`NullProbe`] this is
+    /// [`run`](Self::run).
     pub fn run_probed<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        if !B::ACTIVE {
-            return self.run(count);
+        self.advance(count, probe);
+    }
+}
+
+/// The [`run_merged`](ShardedSimulator::run_merged) observer role: a
+/// [`ShardObserver`] evaluated through per-lane summaries.
+struct Merged<'a, O> {
+    observer: &'a mut O,
+    every: u64,
+}
+
+impl<P, H, O> Poll<ShardedSimulator<P>, H> for Merged<'_, O>
+where
+    P: Protocol + Sync,
+    P::State: Send,
+    H: ?Sized,
+    O: ShardObserver<P> + Sync,
+{
+    fn every(&self) -> u64 {
+        self.every
+    }
+
+    fn poll(&mut self, engine: &ShardedSimulator<P>, _faults: &H) -> Control {
+        engine.merge_checkpoint(self.observer)
+    }
+}
+
+impl<P: Protocol + Sync> Engine for ShardedSimulator<P>
+where
+    P::State: Send,
+{
+    type Protocol = P;
+
+    fn protocol(&self) -> &P {
+        &self.protocol
+    }
+
+    fn interactions(&self) -> u64 {
+        self.interactions
+    }
+
+    /// The sharded block loop. With several workers and an inactive
+    /// probe, blocks run on the threaded path; otherwise they run inline
+    /// on the calling thread, the probe (if active) seeing every block.
+    fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
+        let workers = self.workers();
+        if !B::ACTIVE && workers > 1 {
+            return self.run_threaded(count, workers);
         }
         let cap = (self.shards * self.block_pairs) as u64;
-        let mut changed = vec![0u64; self.shards];
+        let mut changed = vec![0u64; if B::ACTIVE { self.shards } else { 0 }];
         let mut remaining = count;
         while remaining > 0 {
             let total = remaining.min(cap);
             let rot = (self.interactions % self.shards as u64) as usize;
             for (s, slot) in self.slots.iter().enumerate() {
-                changed[s] = intra_phase(
-                    &self.protocol,
-                    &self.owners,
-                    slot,
-                    quota(total, self.shards, s, rot),
-                );
+                let share = quota(total, self.shards, s, rot);
+                let c = intra_phase(&self.protocol, &self.owners, slot, share);
+                if B::ACTIVE {
+                    changed[s] = c;
+                }
             }
-            let boundary: u64 = self
-                .slots
-                .iter()
-                .map(|slot| {
-                    let guard = slot.lock().expect("shard lane poisoned");
-                    guard.outbox.iter().map(|o| o.len() as u64).sum::<u64>()
-                })
-                .sum();
+            let boundary: u64 = if B::ACTIVE {
+                self.slots
+                    .iter()
+                    .map(|slot| {
+                        let guard = slot.lock().expect("shard lane poisoned");
+                        guard.outbox.iter().map(|o| o.len() as u64).sum::<u64>()
+                    })
+                    .sum()
+            } else {
+                0
+            };
             for round in &self.rounds {
                 for &(a, b) in round {
                     exchange(&self.protocol, &self.slots[a], &self.slots[b], a, b);
@@ -743,58 +730,32 @@ where
             }
             self.interactions += total;
             remaining -= total;
-            for (s, slot) in self.slots.iter().enumerate() {
-                let guard = slot.lock().expect("shard lane poisoned");
-                probe.block(
-                    &self.protocol,
-                    self.interactions,
-                    changed[s],
-                    s,
-                    guard.start,
-                    &guard.states,
-                );
+            if B::ACTIVE {
+                for (s, slot) in self.slots.iter().enumerate() {
+                    let guard = slot.lock().expect("shard lane poisoned");
+                    probe.block(
+                        &self.protocol,
+                        self.interactions,
+                        changed[s],
+                        s,
+                        guard.start,
+                        &guard.states,
+                    );
+                }
+                probe.exchange(&self.protocol, self.interactions, boundary);
             }
-            probe.exchange(&self.protocol, self.interactions, boundary);
         }
     }
 
-    /// [`run_faulted`](Self::run_faulted) with a probe seam: blocks are
-    /// split at the exact same fire points, [`Probe::fault`] fires
-    /// after every `hook.fire` with the post-fault concatenated
-    /// configuration, and the bursts in between run through
-    /// [`run_probed`](Self::run_probed). Delegates to
-    /// [`run_faulted`](Self::run_faulted) when `B::ACTIVE` is `false`,
-    /// and follows the identical trajectory when it is not.
-    pub fn run_faulted_probed<H: FaultHook<P>, B: Probe<P>>(
-        &mut self,
-        count: u64,
-        hook: &mut H,
-        probe: &mut B,
-    ) {
-        if !B::ACTIVE {
-            return self.run_faulted(count, hook);
-        }
-        let deadline = self.interactions + count;
-        loop {
-            while hook
-                .next_fire(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                let mut all = self.states();
-                hook.fire(&self.protocol, self.interactions, &mut all);
-                self.scatter(&all);
-                probe.fault(&self.protocol, self.interactions, &all);
-            }
-            if self.interactions >= deadline {
-                return;
-            }
-            let stop = match hook.next_fire(self.interactions) {
-                Some(t) if t < deadline => t,
-                _ => deadline,
-            };
-            let burst = stop - self.interactions;
-            self.run_probed(burst, probe);
-        }
+    fn read<R>(&self, f: impl FnOnce(&[P::State]) -> R) -> R {
+        f(&self.states())
+    }
+
+    fn write<R>(&mut self, f: impl FnOnce(&P, &mut [P::State]) -> R) -> R {
+        let mut all = self.states();
+        let out = f(&self.protocol, &mut all);
+        self.scatter(&all);
+        out
     }
 }
 
@@ -821,6 +782,15 @@ impl<P: WordState> ShardedSimulator<P> {
     }
 }
 
+impl<P: WordState + Sync> Framed for ShardedSimulator<P>
+where
+    P::State: Send,
+{
+    fn frame(&self) -> Frame {
+        ShardedSimulator::frame(self)
+    }
+}
+
 impl<P: WordState + Sync> ShardedSimulator<P>
 where
     P::State: Send,
@@ -830,18 +800,15 @@ where
     /// sharded counterpart of
     /// [`Simulator::run_checkpointed`](population::Simulator::run_checkpointed).
     ///
-    /// Delegates to [`run`](Self::run) when `C::ACTIVE` is `false`
-    /// ([`NullCheckpointer`](population::NullCheckpointer)), so the
-    /// un-checkpointed hot path is untouched. Unlike the sequential
-    /// engine, saving is **not** trajectory-inert here: bursts split at
-    /// save points, and the sharded trajectory depends on block
-    /// structure. A checkpointed sharded run is its own deterministic
-    /// trajectory — resume comparisons run against a
-    /// checkpointed-but-uninterrupted twin with the same cadence.
+    /// For an inactive checkpointer
+    /// ([`NullCheckpointer`](population::NullCheckpointer)) this is
+    /// [`run`](Self::run). Unlike the sequential engine, saving is
+    /// **not** trajectory-inert here: bursts split at save points, and
+    /// the sharded trajectory depends on block structure. A
+    /// checkpointed sharded run is its own deterministic trajectory —
+    /// resume comparisons run against a checkpointed-but-uninterrupted
+    /// twin with the same cadence.
     pub fn run_checkpointed<C: Checkpointer>(&mut self, count: u64, ckpt: &mut C) {
-        if !C::ACTIVE {
-            return self.run(count);
-        }
         self.run_faulted_checkpointed(count, &mut NoFaults, ckpt);
     }
 
@@ -856,42 +823,7 @@ where
         H: FaultHook<P> + HookState,
         C: Checkpointer,
     {
-        if !C::ACTIVE {
-            return self.run_faulted(count, hook);
-        }
-        let deadline = self.interactions + count;
-        loop {
-            while hook
-                .next_fire(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                let mut all = self.states();
-                hook.fire(&self.protocol, self.interactions, &mut all);
-                self.scatter(&all);
-            }
-            while ckpt
-                .next_due(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                let frame = self.frame();
-                ckpt.save(&frame, hook.export_state().as_ref());
-            }
-            if self.interactions >= deadline {
-                return;
-            }
-            let next_event = [
-                hook.next_fire(self.interactions),
-                ckpt.next_due(self.interactions),
-            ]
-            .into_iter()
-            .flatten()
-            .min();
-            let stop = match next_event {
-                Some(t) if t < deadline => t,
-                _ => deadline,
-            };
-            self.run(stop - self.interactions);
-        }
+        drive(self, count, hook, ckpt, NoPoll, &mut NullProbe);
     }
 }
 
@@ -1183,7 +1115,14 @@ mod tests {
         };
         plain.run_faulted(1000, &mut hook_a);
         let mut tally = Tally::default();
-        probed.run_faulted_probed(1000, &mut hook_b, &mut tally);
+        drive(
+            &mut probed,
+            1000,
+            &mut hook_b,
+            NullCheckpointer,
+            NoPoll,
+            &mut tally,
+        );
         assert_eq!(plain.states(), probed.states());
         assert_eq!(hook_a.fired, hook_b.fired);
         assert_eq!(tally.faults, 2);

@@ -31,11 +31,15 @@
 //! Barriers separate the phases; within a phase every worker touches
 //! only lanes it exclusively owns, which is why the trajectory is a
 //! pure function of `(seed, shards, block size)` and never of the
-//! worker count. `run_faulted` splits blocks at exact fault
-//! interaction counts, and checkpoints (`run_observed` snapshots /
-//! `run_merged` per-lane summaries) land between blocks at exact
-//! interaction counts, so the `scenarios` fault plans and the
-//! observer pipeline behave identically to the sequential engine.
+//! worker count.
+//!
+//! [`ShardedSimulator`] is a [`population::Engine`], so it runs under the
+//! one run loop, [`population::drive`], like every other engine: faults
+//! fire, checkpoints save and observers poll between blocks at exact
+//! interaction counts, in the driver's fixed order (faults, saves,
+//! polls). Because the sharded trajectory depends on block structure,
+//! the rule that only due hooks split a burst is what keeps a sharded
+//! run reproducible under a given set of hooks.
 //!
 //! The engine plugs into every existing seam:
 //!

@@ -4,15 +4,27 @@
 //! Everything else in this repository (figure regeneration, theorem
 //! validation, the throughput numbers in `BENCH_engine.json`) leans on
 //! this property — the batched hot path must be a pure optimization.
+//!
+//! The second half pins the one run loop, `population::drive`: its hook
+//! order is the same on every engine, and hooks composed through it
+//! leave the trajectory untouched.
+
+use std::cell::RefCell;
 
 use proptest::prelude::*;
 
 use silent_ranking::baselines::cai::CaiRanking;
+use silent_ranking::dynamic::{ChurnConfig, DynamicPopulation};
+use silent_ranking::population::observe::Meter;
 use silent_ranking::population::primitives::coin::CoinPopulation;
 use silent_ranking::population::primitives::epidemic::Epidemic;
-use silent_ranking::population::{Protocol, Simulator};
+use silent_ranking::population::{
+    drive, Control, Engine, FaultHook, MemoryCheckpointer, NoFaults, NullProbe, Observer, Probe,
+    Protocol, Save, Simulator, StopReason, Watch,
+};
 use silent_ranking::ranking::stable::StableRanking;
 use silent_ranking::ranking::Params;
+use silent_ranking::shard::ShardedSimulator;
 
 /// Run `total` interactions twice from identical initial conditions —
 /// once through scalar `step`, once through `run_batched` in chunks of
@@ -153,5 +165,173 @@ proptest! {
 
         prop_assert_eq!(mixed.interactions(), total);
         prop_assert_eq!(pure.states(), mixed.states());
+    }
+}
+
+// ----------------------------------------------------------------------
+// The one driver: hook order and hook composition
+// ----------------------------------------------------------------------
+
+/// One shared log of `(interaction count, event)` the ordering test's
+/// hooks append to.
+type Log = RefCell<Vec<(u64, &'static str)>>;
+
+/// A fault hook that fires at fixed counts and only logs.
+struct LogFault<'a> {
+    at: Vec<u64>,
+    log: &'a Log,
+}
+
+impl<P: Protocol> FaultHook<P> for LogFault<'_> {
+    fn next_fire(&mut self, now: u64) -> Option<u64> {
+        self.at.iter().copied().find(|&t| t >= now)
+    }
+
+    fn fire(&mut self, _protocol: &P, t: u64, _states: &mut [P::State]) {
+        self.log.borrow_mut().push((t, "fault"));
+        self.at.retain(|&x| x > t);
+    }
+}
+
+/// A checkpoint role due at fixed counts that only logs — usable on
+/// every engine, framed or not.
+struct LogSave<'a> {
+    at: Vec<u64>,
+    log: &'a Log,
+}
+
+impl<E: Engine + ?Sized, H: ?Sized> Save<E, H> for LogSave<'_> {
+    const ACTIVE: bool = true;
+
+    fn next_due(&mut self, now: u64) -> Option<u64> {
+        self.at.iter().copied().find(|&t| t >= now)
+    }
+
+    fn save(&mut self, engine: &E, _faults: &H) {
+        let t = engine.interactions();
+        self.log.borrow_mut().push((t, "save"));
+        self.at.retain(|&x| x > t);
+    }
+}
+
+/// An observer that only logs its polls.
+struct LogPoll<'a>(&'a Log);
+
+impl<P: Protocol> Observer<P> for LogPoll<'_> {
+    fn observe(&mut self, _protocol: &P, t: u64, _states: &[P::State]) -> Control {
+        self.0.borrow_mut().push((t, "poll"));
+        Control::Continue
+    }
+}
+
+/// A probe that logs the driver's fault and poll notifications.
+struct LogProbe<'a>(&'a Log);
+
+impl<P: Protocol> Probe<P> for LogProbe<'_> {
+    fn checkpoint(&mut self, _protocol: &P, t: u64, _stopping: bool) {
+        self.0.borrow_mut().push((t, "probe.checkpoint"));
+    }
+
+    fn fault(&mut self, _protocol: &P, t: u64, _states: &[P::State]) {
+        self.0.borrow_mut().push((t, "probe.fault"));
+    }
+}
+
+/// Drive `engine` for 1000 interactions with a fault, a save and a poll
+/// all due at 0 (the entry), 500 and 1000 (the deadline), and return the
+/// log.
+fn ordering_log<E: Engine>(engine: &mut E) -> Vec<(u64, &'static str)> {
+    let log = Log::default();
+    let times = vec![0, 500, 1000];
+    let mut fault = LogFault {
+        at: times.clone(),
+        log: &log,
+    };
+    let save = LogSave {
+        at: times,
+        log: &log,
+    };
+    let mut observer = LogPoll(&log);
+    let mut probe = LogProbe(&log);
+    let stop = drive(
+        engine,
+        1000,
+        &mut fault,
+        save,
+        Watch::new(&mut observer, 500),
+        &mut probe,
+    );
+    assert_eq!(stop, StopReason::BudgetExhausted);
+    assert_eq!(engine.interactions(), 1000);
+    log.into_inner()
+}
+
+/// `drive`'s documented order at a shared count — faults fire (then the
+/// probe sees the fault), checkpoints save, the observer polls (then the
+/// probe sees the poll) — holds on every engine, at entry, mid-run and
+/// at the deadline.
+#[test]
+fn drive_orders_hooks_identically_on_every_engine() {
+    let n = 16;
+    let protocol = StableRanking::new(Params::new(n));
+    let expected: Vec<(u64, &str)> = [0u64, 500, 1000]
+        .into_iter()
+        .flat_map(|t| ["fault", "probe.fault", "save", "poll", "probe.checkpoint"].map(|e| (t, e)))
+        .collect();
+
+    let mut sim = Simulator::new(protocol.clone(), protocol.initial(), 3);
+    assert_eq!(ordering_log(&mut sim), expected, "Simulator");
+    for shards in [1, 4] {
+        let mut sharded = ShardedSimulator::new(protocol.clone(), protocol.initial(), 3, shards);
+        assert_eq!(ordering_log(&mut sharded), expected, "shards={shards}");
+    }
+    let mut dynpop =
+        DynamicPopulation::<StableRanking>::new(Params::new(n), ChurnConfig::quiescent(), 3);
+    assert_eq!(ordering_log(&mut dynpop), expected, "DynamicPopulation");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 25, ..ProptestConfig::default() })]
+
+    /// An observed *and* checkpointed run through `drive` — observer
+    /// polls and saves splitting bursts at unrelated cadences — follows
+    /// the plain `run_batched` trajectory bit for bit, and both hooks
+    /// see the counts they asked for.
+    #[test]
+    fn observed_and_checkpointed_run_equals_run_batched(
+        config_seed in 0u64..10_000,
+        seed in 0u64..10_000,
+        total in 1u64..20_000,
+        poll_every in 1u64..6000,
+        save_every in 1u64..6000,
+    ) {
+        let protocol = StableRanking::new(Params::new(48));
+        let init = protocol.adversarial_uniform(config_seed);
+
+        let mut plain = Simulator::new(protocol.clone(), init.clone(), seed);
+        plain.run_batched(total);
+
+        let mut hooked = Simulator::new(protocol, init, seed);
+        let mut meter = Meter::new();
+        let mut ckpt = MemoryCheckpointer::every(save_every);
+        let stop = drive(
+            &mut hooked,
+            total,
+            &mut NoFaults,
+            &mut ckpt,
+            Watch::new(&mut meter, poll_every),
+            &mut NullProbe,
+        );
+
+        prop_assert_eq!(stop, StopReason::BudgetExhausted);
+        prop_assert_eq!(hooked.interactions(), total);
+        prop_assert_eq!(hooked.states(), plain.states());
+        // Polls at entry, every `poll_every`, and at the deadline.
+        prop_assert_eq!(meter.checkpoints(), total.div_ceil(poll_every) + 1);
+        // Saves on the cadence grid, the deadline included.
+        prop_assert_eq!(ckpt.saved.len() as u64, total / save_every);
+        for (k, (frame, _)) in ckpt.saved.iter().enumerate() {
+            prop_assert_eq!(frame.interactions, (k as u64 + 1) * save_every);
+        }
     }
 }

@@ -20,7 +20,10 @@
 
 use proptest::prelude::*;
 
-use silent_ranking::population::{NullProbe, Packed, ScalarBlock, Simulator, UnpackedHook};
+use silent_ranking::population::{
+    drive, NoFaults, NoPoll, NullCheckpointer, NullProbe, Packed, ScalarBlock, Simulator,
+    UnpackedHook, Watch,
+};
 use silent_ranking::ranking::stable::{StableRanking, StableState};
 use silent_ranking::ranking::Params;
 use silent_ranking::scenarios::{ranking_faults, FaultPlan};
@@ -170,7 +173,14 @@ fn enum_faulted_runs_are_probe_inert_for_every_injector() {
             let mut rec_plan = faulted_plan(kind, n, seed);
             let mut recorder = Recorder::new();
             plain.run_faulted(budget(n), &mut plain_plan);
-            recorded.run_faulted_probed(budget(n), &mut rec_plan, &mut recorder);
+            drive(
+                &mut recorded,
+                budget(n),
+                &mut rec_plan,
+                NullCheckpointer,
+                NoPoll,
+                &mut recorder,
+            );
             assert_eq!(
                 recorded.states(),
                 plain.states(),
@@ -199,7 +209,14 @@ fn kernel_faulted_runs_are_probe_inert_for_every_injector() {
             let (mut recorded, mut rec_plan) = make(seed);
             let mut recorder = Recorder::new();
             plain.run_faulted(budget(n), &mut plain_plan);
-            recorded.run_faulted_probed(budget(n), &mut rec_plan, &mut recorder);
+            drive(
+                &mut recorded,
+                budget(n),
+                &mut rec_plan,
+                NullCheckpointer,
+                NoPoll,
+                &mut recorder,
+            );
             assert_eq!(
                 recorded.states(),
                 plain.states(),
@@ -228,7 +245,14 @@ fn sharded_faulted_runs_are_probe_inert() {
             let (mut recorded, mut rec_plan) = make();
             let mut recorder = Recorder::new();
             plain.run_faulted(budget(n), &mut plain_plan);
-            recorded.run_faulted_probed(budget(n), &mut rec_plan, &mut recorder);
+            drive(
+                &mut recorded,
+                budget(n),
+                &mut rec_plan,
+                NullCheckpointer,
+                NoPoll,
+                &mut recorder,
+            );
             assert_eq!(
                 recorded.states(),
                 plain.states(),
@@ -261,7 +285,15 @@ fn observed_runs_are_probe_inert_and_stop_at_the_same_time() {
         let mut recorder = Recorder::new();
         let budget = (n * n * n) as u64;
         let stop_plain = plain.run_observed(budget, n as u64, &mut plain_obs);
-        let stop_rec = recorded.run_observed_probed(budget, n as u64, &mut rec_obs, &mut recorder);
+        let watch = Watch::new(&mut rec_obs, n as u64);
+        let stop_rec = drive(
+            &mut recorded,
+            budget,
+            &mut NoFaults,
+            NullCheckpointer,
+            watch,
+            &mut recorder,
+        );
         assert_eq!(stop_plain, stop_rec, "seed={seed}");
         assert_eq!(recorded.states(), plain.states());
         assert_eq!(recorded.interactions(), plain.interactions());
