@@ -25,7 +25,14 @@
 //!   fully ranked population is silent, every meeting is a
 //!   ranked×ranked null pair, and a stabilized simulation spends all
 //!   further interactions there — the regime the kernel's null fast
-//!   path targets.
+//!   path targets. `run_batched` would not execute those pairs at all
+//!   (it certifies the configuration silent and jumps the pair stream
+//!   past the burst), so these two rows time their batched column with
+//!   a bench-local copy of the faithful block loop;
+//! * `stable_ranking_kernel_silent_ff`: the converged configuration
+//!   through `run_batched` itself, i.e. the silent fast-forward
+//!   (informational; it times the certificate and the RNG jump, not a
+//!   transition path).
 //!
 //! All paths execute the identical trajectory, so every comparison is
 //! pure representation/engine overhead.
@@ -49,8 +56,10 @@
 //! and, at `n ≥ 10⁴`, that the kernel is at least `kernel_floor=`
 //! (default 0.7) times the scalar packed path on the transient
 //! workload, at least `silent_floor=` (default 1.05) times it on
-//! the converged workload, and that the best paired null-probe ratio
-//! reaches `probe_floor=` (default 0.95) — the CI throughput smoke.
+//! the converged workload, that the best paired null-probe ratio
+//! reaches `probe_floor=` (default 0.95), and that the fast-forward row
+//! ends bit-identical (words and scheduler cursor) to the faithful
+//! kernel silent row — the CI throughput smoke.
 //!
 //! Usage: `cargo run --release -p bench --bin engine_throughput --
 //! [interactions=20000000] [samples=5] [sizes=1000,10000,100000]
@@ -61,12 +70,15 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bench::timing::time_runs;
+use bench::timing::{time_runs, Timing};
 use bench::{f3, Experiment, Json, Table};
 use population::primitives::epidemic::Epidemic;
-use population::{NullProbe, Packed, Protocol, ScalarBlock, Simulator};
+use population::schedule::BLOCK_PAIRS;
+use population::{
+    CursorSource, NullProbe, Packed, Protocol, ScalarBlock, Schedule, ScheduleCursor, Simulator,
+};
 use ranking::stable::state::StableState;
-use ranking::stable::StableRanking;
+use ranking::stable::{PackedState, StableRanking};
 use ranking::Params;
 
 struct Measurement {
@@ -97,12 +109,22 @@ where
     P: Protocol,
     F: Fn() -> (P, Vec<P::State>),
 {
-    measure_with(name, n, interactions, samples, make, |_, _| None)
+    measure_with(name, n, interactions, samples, make, |_, _| None).0
+}
+
+/// Time `interactions` scalar `step`s, `samples` times after one warmup.
+fn time_steps<P: Protocol>(sim: &mut Simulator<P>, interactions: u64, samples: usize) -> Timing {
+    time_runs(1, samples, || {
+        for _ in 0..interactions {
+            sim.step();
+        }
+    })
 }
 
 /// Like [`measure`], but `finish` inspects the batched simulator's
 /// protocol after its timed runs — the hook the kernel row uses to pull
-/// the accumulated dispatch-mix counters.
+/// the accumulated dispatch-mix counters — and the batched simulator is
+/// returned for inspection of its final position.
 fn measure_with<P, F>(
     name: &'static str,
     n: usize,
@@ -110,18 +132,17 @@ fn measure_with<P, F>(
     samples: usize,
     make: F,
     finish: impl Fn(&P, u64) -> Option<[f64; 4]>,
-) -> Measurement
+) -> (Measurement, Simulator<P>)
 where
     P: Protocol,
     F: Fn() -> (P, Vec<P::State>),
 {
     let (protocol, init) = make();
-    let mut sim = Simulator::new(protocol, init, 7);
-    let scalar = time_runs(1, samples, || {
-        for _ in 0..interactions {
-            sim.step();
-        }
-    });
+    let scalar = time_steps(
+        &mut Simulator::new(protocol, init, 7),
+        interactions,
+        samples,
+    );
 
     let (protocol, init) = make();
     let mut sim = Simulator::new(protocol, init, 7);
@@ -130,14 +151,65 @@ where
     });
     let dispatch_mix = finish(sim.protocol(), sim.interactions());
 
-    Measurement {
+    let m = Measurement {
         protocol: name,
         n,
         interactions,
         scalar_ips: scalar.per_second(interactions as f64),
         batched_ips: batched.per_second(interactions as f64),
         dispatch_mix,
-    }
+    };
+    (m, sim)
+}
+
+/// The silent rows' batched column: a bench-local copy of the engine's
+/// faithful block loop (sample a block, hand it to `transition_block`),
+/// which — unlike `run_batched` — never fast-forwards a certified-silent
+/// configuration. So these rows keep timing the transition path on
+/// null pairs, the thing the `silent_floor` gate compares, rather than
+/// the certificate and the RNG jump. Returns the final position (words
+/// and scheduler cursor) for the fast-forward row's identity check.
+fn measure_silent<P>(
+    name: &'static str,
+    n: usize,
+    interactions: u64,
+    samples: usize,
+    protocol: impl Fn() -> P,
+    finish: impl Fn(&P, u64) -> Option<[f64; 4]>,
+) -> (Measurement, Vec<PackedState>, ScheduleCursor)
+where
+    P: Protocol<State = PackedState>,
+{
+    let init: Vec<PackedState> = ranked_init(n).iter().map(PackedState::pack).collect();
+    let scalar = time_steps(
+        &mut Simulator::new(protocol(), init.clone(), 7),
+        interactions,
+        samples,
+    );
+
+    let p = protocol();
+    let mut words = init;
+    let mut schedule = Schedule::new(n, 7);
+    let batched = time_runs(1, samples, || {
+        let mut remaining = interactions;
+        while remaining > 0 {
+            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
+            let block = schedule.sample_block(want);
+            p.transition_block(&mut words, block);
+            remaining -= block.len() as u64;
+        }
+    });
+    let dispatch_mix = finish(&p, interactions * (samples as u64 + 1));
+
+    let m = Measurement {
+        protocol: name,
+        n,
+        interactions,
+        scalar_ips: scalar.per_second(interactions as f64),
+        batched_ips: batched.per_second(interactions as f64),
+        dispatch_mix,
+    };
+    (m, words, schedule.cursor())
 }
 
 /// Minimal reader for previously written `BENCH_engine.json` artifacts:
@@ -187,6 +259,11 @@ fn kernel_mix(p: &Packed<StableRanking>, executed: u64) -> Option<[f64; 4]> {
     debug_assert_eq!(total, executed);
     let _ = executed;
     (total > 0).then(|| mix.map(|c| c as f64 / total as f64))
+}
+
+/// A fresh protocol on the packed kernel path.
+fn kernel(n: usize) -> Packed<StableRanking> {
+    Packed(StableRanking::new(Params::new(n)))
 }
 
 /// The converged configuration: a valid ranking is silent, so every
@@ -285,6 +362,9 @@ fn main() -> ExitCode {
         .collect();
 
     let mut results = Vec::new();
+    // Per size: did the fast-forward row end bit-identical (words and
+    // cursor) to the faithful kernel silent row?
+    let mut silent_identity = Vec::new();
     for &n in &sizes {
         results.push(measure("epidemic", n, interactions, samples, || {
             let p = Epidemic::new(n);
@@ -324,43 +404,60 @@ fn main() -> ExitCode {
         // per-class branchless cores. Same trajectory bit-for-bit; the
         // dispatch-mix counters attribute the throughput to the
         // classes that did the work.
-        results.push(measure_with(
-            "stable_ranking_kernel",
-            n,
-            interactions / 4,
-            samples,
-            || {
-                let p = Packed(StableRanking::new(Params::new(n)));
-                let init = p.pack_all(&p.inner().initial());
-                (p, init)
-            },
-            kernel_mix,
-        ));
+        results.push(
+            measure_with(
+                "stable_ranking_kernel",
+                n,
+                interactions / 4,
+                samples,
+                || {
+                    let p = Packed(StableRanking::new(Params::new(n)));
+                    let init = p.pack_all(&p.inner().initial());
+                    (p, init)
+                },
+                kernel_mix,
+            )
+            .0,
+        );
         // The converged regime, no warmup needed: a pre-built valid
-        // ranking starts silent and stays silent.
-        results.push(measure(
+        // ranking starts silent and stays silent. Both rows run every
+        // null pair (see `measure_silent`).
+        let (m, ..) = measure_silent(
             "stable_ranking_silent",
             n,
             interactions / 4,
             samples,
-            || {
-                let inner = Packed(StableRanking::new(Params::new(n)));
-                let init = inner.pack_all(&ranked_init(n));
-                (ScalarBlock(inner), init)
-            },
-        ));
-        results.push(measure_with(
+            || ScalarBlock(kernel(n)),
+            |_, _| None,
+        );
+        results.push(m);
+        let (m, words, cursor) = measure_silent(
             "stable_ranking_kernel_silent",
             n,
             interactions / 4,
             samples,
+            || kernel(n),
+            kernel_mix,
+        );
+        results.push(m);
+        // The same configuration through `run_batched`, which certifies
+        // the configuration silent and jumps the pair stream past each
+        // burst (informational: it times the fast-forward, not a
+        // transition path).
+        let (m, ff) = measure_with(
+            "stable_ranking_kernel_silent_ff",
+            n,
+            interactions / 4,
+            samples,
             || {
-                let p = Packed(StableRanking::new(Params::new(n)));
+                let p = kernel(n);
                 let init = p.pack_all(&ranked_init(n));
                 (p, init)
             },
             kernel_mix,
-        ));
+        );
+        results.push(m);
+        silent_identity.push((n, ff.states() == words && ff.source().cursor() == cursor));
     }
 
     // Probe-seam overhead rows: paired unprobed vs NullProbe vs
@@ -538,6 +635,19 @@ fn main() -> ExitCode {
                      unprobed path at n={} across every paired sample \
                      (floor {probe_floor}) — the probe seam is no longer free",
                     p.best_null_ratio, p.n
+                );
+                ok = false;
+            }
+        }
+        for &(n, identical) in &silent_identity {
+            exp.note(&format!(
+                "smoke n={n}: fast-forward row bit-identical to the faithful silent row: \
+                 {identical}"
+            ));
+            if !identical {
+                eprintln!(
+                    "SMOKE FAILURE: the silent fast-forward ended at different words or \
+                     scheduler cursor than the faithful kernel loop at n={n}"
                 );
                 ok = false;
             }

@@ -224,6 +224,37 @@ impl BatchedProtocol for StableRanking {
         }
         changed
     }
+
+    /// The silence certificate, one O(n) pass: every word is a ranked
+    /// word (tag and coin bits clear) holding a rank in `1..=n`, and no
+    /// rank repeats (a bitmap over `1..=n`). Then every ordered pair is
+    /// two distinct ranked words — the main/main null exit above — so
+    /// the `count` skipped interactions are credited to the main/main
+    /// dispatch counter, as the kernel would have credited them.
+    ///
+    /// `n = 2` never certifies: that population runs the scalar
+    /// fallback, which does not count the dispatch mix.
+    fn certify_silent(&self, words: &[PackedState], count: u64) -> bool {
+        let n = self.params.n();
+        if n == 2 {
+            return false;
+        }
+        let mut seen = vec![0u64; n / 64 + 1];
+        for w in words {
+            let rank = w.0 >> A_SHIFT;
+            if w.0 & (TAG_MASK | COIN_BIT) != 0 || rank == 0 || rank > n as u64 {
+                return false;
+            }
+            let (slot, bit) = ((rank / 64) as usize, 1u64 << (rank % 64));
+            if seen[slot] & bit != 0 {
+                return false;
+            }
+            seen[slot] |= bit;
+        }
+        self.metrics.classes[3].add(count);
+        self.metrics.silent_skipped.add(count);
+        true
+    }
 }
 
 #[cfg(test)]

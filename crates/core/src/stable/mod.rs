@@ -69,14 +69,22 @@ pub const DISPATCH_COUNTERS: [&str; 4] = [
 /// Name of the reset-event counter on the metrics registry.
 pub const RESETS_COUNTER: &str = "resets_triggered";
 
+/// Name of the counter of interactions the silence certificate let the
+/// engine skip (see [`population::BatchedProtocol::certify_silent`]).
+/// Each skipped interaction is also counted in `dispatch_main_main`,
+/// exactly as the kernel would have counted it.
+pub const SILENT_SKIPPED_COUNTER: &str = "silent_skipped";
+
 /// The protocol's slice of the unified metrics registry: the reset-event
-/// counter and the kernel's dispatch-mix counters, with the hot-path
-/// handles the transition code updates through.
+/// counter, the kernel's dispatch-mix counters and the silent-skip
+/// counter, with the hot-path handles the transition code updates
+/// through.
 #[derive(Debug)]
 struct Metrics {
     registry: Registry,
     resets: Counter,
     classes: [Counter; 4],
+    silent_skipped: Counter,
 }
 
 impl Metrics {
@@ -84,10 +92,12 @@ impl Metrics {
         let mut registry = Registry::new();
         let resets = registry.counter(RESETS_COUNTER);
         let classes = DISPATCH_COUNTERS.map(|name| registry.counter(name));
+        let silent_skipped = registry.counter(SILENT_SKIPPED_COUNTER);
         Self {
             registry,
             resets,
             classes,
+            silent_skipped,
         }
     }
 }
@@ -103,6 +113,7 @@ impl Clone for Metrics {
         for (new, old) in fresh.classes.iter().zip(&self.classes) {
             new.add(old.get());
         }
+        fresh.silent_skipped.add(self.silent_skipped.get());
         fresh
     }
 }
@@ -177,6 +188,10 @@ impl StableRanking {
     /// ([`transition`](Protocol::transition),
     /// [`transition_packed`](PackedProtocol::transition_packed), and the
     /// kernel's `n = 2` fallback) don't classify, so they don't count.
+    /// Interactions the engine skips on a certified-silent
+    /// configuration are counted under main/main, exactly as the kernel
+    /// would have counted them (see
+    /// [`silent_skipped`](StableRanking::silent_skipped)).
     /// The `engine_throughput` bench records this dispatch mix alongside
     /// kernel throughput: a perf regression that coincides with a mix
     /// shift is a workload change, not a kernel change. Same relaxed
@@ -188,8 +203,17 @@ impl StableRanking {
         [0, 1, 2, 3].map(|c| self.metrics.classes[c].get())
     }
 
+    /// Interactions the engine skipped on a certified-silent
+    /// configuration instead of executing them — a view of the
+    /// [`SILENT_SKIPPED_COUNTER`] counter. They are included in
+    /// [`dispatch_mix`](StableRanking::dispatch_mix)'s main/main entry.
+    pub fn silent_skipped(&self) -> u64 {
+        self.metrics.silent_skipped.get()
+    }
+
     /// The protocol's metrics registry: the single source of truth for
-    /// its instrumentation ([`RESETS_COUNTER`], [`DISPATCH_COUNTERS`]),
+    /// its instrumentation ([`RESETS_COUNTER`], [`DISPATCH_COUNTERS`],
+    /// [`SILENT_SKIPPED_COUNTER`]),
     /// enumerable for trace emission alongside a `Recorder`'s own
     /// registry. Cloned protocol values get a fresh registry seeded with
     /// the current values (independent counting, see `Metrics::clone`).

@@ -5,8 +5,9 @@
 //! The engine keeps the protocol's hot path untouched: interactions run
 //! over a **dense active lane** (`Vec` of states, exactly like the
 //! fixed-n [`Simulator`](population::Simulator)), in `BLOCK_PAIRS`
-//! blocks drawn from a plain [`Schedule`]. Dynamics happen only at
-//! block boundaries:
+//! blocks drawn from a plain [`Schedule`] — through the same block
+//! loop, [`population::advance_blocks`], silent fast-forward included.
+//! Dynamics happen only at block boundaries:
 //!
 //! * the churn process ([`ChurnProcess`]) injects Poisson arrivals and
 //!   exponential departures, surfaced to the run loop
@@ -43,8 +44,9 @@ use std::collections::VecDeque;
 
 use population::schedule::BLOCK_PAIRS;
 use population::{
-    drive, CursorSource, Engine, Frame, Membership, NoFaults, NoPoll, NullCheckpointer, NullProbe,
-    PackedProtocol, Probe, Protocol, RankOutput, Schedule, ScheduleCursor, WordState,
+    advance_blocks, drive, CursorSource, Engine, Frame, Membership, NoFaults, NoPoll,
+    NullCheckpointer, NullProbe, PackedProtocol, Probe, Protocol, RankOutput, Schedule,
+    ScheduleCursor, WordState,
 };
 use ranking::stable::{PackedState, StableRanking, StableState};
 use ranking::{EpochParams, Params};
@@ -867,25 +869,14 @@ impl<P: DynRanking> Engine for DynamicPopulation<P> {
     }
 
     fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        let mut remaining = count;
-        while remaining > 0 {
-            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-            let block = self.schedule.sample_block(want);
-            let changed = self.protocol.transition_block(&mut self.states, block);
-            let executed = block.len() as u64;
-            self.interactions += executed;
-            remaining -= executed;
-            if B::ACTIVE {
-                probe.block(
-                    &self.protocol,
-                    self.interactions,
-                    changed,
-                    0,
-                    0,
-                    &self.states,
-                );
-            }
-        }
+        advance_blocks(
+            &self.protocol,
+            &mut self.states,
+            &mut self.schedule,
+            &mut self.interactions,
+            count,
+            probe,
+        );
     }
 
     fn read<R>(&self, f: impl FnOnce(&[P::State]) -> R) -> R {

@@ -29,7 +29,11 @@
 //!   function to scheduled pairs. [`Simulator::step`] executes one
 //!   interaction; [`Simulator::run_batched`] is the hot path, executing
 //!   interactions in blocks with no per-interaction bookkeeping. The two
-//!   are bit-for-bit trajectory-equivalent under the same seed.
+//!   are bit-for-bit trajectory-equivalent under the same seed. The
+//!   block loop ([`advance_blocks`]) skips bursts over a configuration
+//!   the protocol certifies silent ([`Protocol::certify_silent`]) by
+//!   jumping the pair stream ([`schedule::PairSource::skip`]) — exact,
+//!   not approximate.
 //! * **Driving** — every hooked run goes through one loop,
 //!   [`engine::drive`], over any [`engine::Engine`] (this crate's
 //!   [`Simulator`], the `shard` crate's sharded engine, the `dynamic`
@@ -148,6 +152,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod jump;
 mod pairs;
 mod probe;
 mod protocol;
@@ -176,7 +181,7 @@ pub use protocol::{
     BatchedProtocol, HonestOutput, Packed, PackedProtocol, Protocol, RankOutput, ScalarBlock,
 };
 pub use schedule::{CursorSource, PairSource, Schedule, ScheduleCursor, SubSchedule};
-pub use sim::{FaultHook, NoFaults, Simulator, StopReason, UnpackedHook};
+pub use sim::{advance_blocks, FaultHook, NoFaults, Simulator, StopReason, UnpackedHook};
 
 /// Returns `true` iff the ranks output by `states` form a permutation of
 /// `1..=n`, i.e. the configuration is a *valid ranking* (the paper's legal

@@ -71,6 +71,28 @@ pub trait Protocol {
         }
         changed
     }
+
+    /// The silence certificate: return `true` only if *every* ordered
+    /// pair over `states` is a null interaction (no state changes), and
+    /// in that case account for `count` such interactions in the
+    /// protocol's own instrumentation exactly as executing them would.
+    ///
+    /// This is what lets the sequential block loop
+    /// ([`advance_blocks`](crate::advance_blocks)) fast-forward a silent
+    /// configuration: a certified configuration is a fixed point of
+    /// every pair, so `count` interactions leave the states untouched
+    /// and only the pair stream has to move (see
+    /// [`PairSource::skip`](crate::PairSource::skip)). A `true` that is
+    /// not backed by such a proof breaks bit-for-bit equivalence with
+    /// the faithful loop.
+    ///
+    /// The default never certifies, so a protocol — and every wrapper
+    /// that does not forward the call ([`ScalarBlock`], the `scenarios`
+    /// crate's `Byzantine`) — always runs every pair.
+    fn certify_silent(&self, states: &[Self::State], count: u64) -> bool {
+        let _ = (states, count);
+        false
+    }
 }
 
 /// A [`Protocol`] that additionally offers a *packed* machine-word
@@ -158,6 +180,14 @@ pub trait BatchedProtocol: PackedProtocol {
         }
         changed
     }
+
+    /// The silence certificate over packed words — the twin
+    /// [`Packed`] forwards [`Protocol::certify_silent`] to, with the
+    /// same contract. Never certifies by default.
+    fn certify_silent(&self, words: &[Self::Packed], count: u64) -> bool {
+        let _ = (words, count);
+        false
+    }
 }
 
 /// Adapter running a [`PackedProtocol`] over its packed words: the
@@ -210,6 +240,10 @@ impl<P: BatchedProtocol> Protocol for Packed<P> {
         // protocol's kernel (or the scalar default).
         BatchedProtocol::transition_block(&self.0, states, pairs)
     }
+
+    fn certify_silent(&self, states: &[Self::State], count: u64) -> bool {
+        BatchedProtocol::certify_silent(&self.0, states, count)
+    }
 }
 
 /// Adapter forcing the default *scalar* block path for a protocol,
@@ -233,8 +267,10 @@ impl<P: Protocol> Protocol for ScalarBlock<P> {
     fn transition(&self, u: &mut Self::State, v: &mut Self::State) -> bool {
         self.0.transition(u, v)
     }
-    // No `transition_block` override: blocks run through the provided
-    // scalar split-borrow loop regardless of the inner protocol.
+    // No `transition_block` or `certify_silent` override: blocks run
+    // through the provided scalar split-borrow loop regardless of the
+    // inner protocol, and every pair runs even on a silent
+    // configuration.
 }
 
 /// Output map for ranking protocols: the rank an agent currently outputs,

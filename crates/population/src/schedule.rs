@@ -11,7 +11,16 @@
 //!   tight loop, for the batched hot path
 //!   ([`Simulator::run_batched`](crate::Simulator::run_batched)).
 //!
-//! Both styles consume pairs from the same underlying sequence in FIFO
+//! A third operation, [`PairSource::skip`], consumes pairs without
+//! returning them — the pair-stream half of the engine's silent
+//! fast-forward ([`advance_blocks`](crate::advance_blocks)). The
+//! uniform sources skip in O(log count): one RNG output per pair, and
+//! xoshiro256++'s state transition is linear over GF(2), so `k` draws
+//! are one polynomial power modulo its degree-256 characteristic
+//! polynomial applied to the state. Buffered pairs are discarded first,
+//! so a skip lands exactly where draining would.
+//!
+//! All styles consume pairs from the same underlying sequence in FIFO
 //! order, so a simulation is **bit-for-bit trajectory-equivalent**
 //! whether it is stepped one interaction at a time, run in batches, or
 //! any interleaving of the two. Pre-sampling exists purely to make the
@@ -30,6 +39,8 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
+
+use crate::jump;
 
 /// An ordered agent pair, stored compactly for block buffers.
 pub type Pair = (u32, u32);
@@ -64,6 +75,24 @@ pub trait PairSource {
     /// (batched path). The returned slice is nonempty for `max > 0`;
     /// callers loop until they have consumed as many pairs as they need.
     fn sample_block(&mut self, max: usize) -> &[Pair];
+
+    /// Consume the next `count` pairs of the stream without returning
+    /// them — what the engine's silent fast-forward calls once a
+    /// certificate shows every pair would be null. Afterwards the source
+    /// is exactly where drawing `count` pairs would have left it.
+    ///
+    /// The default draws and discards them block by block, which is
+    /// exact for every source. [`Schedule`] and [`SubSchedule`] override
+    /// it: they drain buffered pairs, then jump their RNG past the rest
+    /// in O(log count) (one RNG output per pair, so the jump distance is
+    /// the remaining pair count).
+    fn skip(&mut self, count: u64) {
+        let mut remaining = count;
+        while remaining > 0 {
+            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
+            remaining -= self.sample_block(want).len() as u64;
+        }
+    }
 }
 
 /// The FIFO block buffer shared by every [`PairSource`] implementation.
@@ -119,6 +148,14 @@ impl BlockBuffer {
     /// Number of pairs currently buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
         self.block.len() - self.pos
+    }
+
+    /// Discard up to `count` buffered pairs; returns how many of the
+    /// `count` are left to skip past the buffer (in fresh draws).
+    pub(crate) fn discard(&mut self, count: u64) -> u64 {
+        let taken = count.min(self.buffered() as u64);
+        self.pos += taken as usize;
+        count - taken
     }
 
     /// The buffered-but-unconsumed tail of the stream, in FIFO order —
@@ -323,6 +360,11 @@ impl PairSource for Schedule {
     fn sample_block(&mut self, max: usize) -> &[Pair] {
         Schedule::sample_block(self, max)
     }
+
+    fn skip(&mut self, count: u64) {
+        let fresh = self.buf.discard(count);
+        jump::skip(&mut self.rng, fresh);
+    }
 }
 
 /// Seed stride between sibling [`SubSchedule`]s of one split: shard `s`
@@ -489,6 +531,11 @@ impl PairSource for SubSchedule {
         let (rng, n, start, len) = (&mut self.rng, self.n, self.start, self.len);
         self.buf
             .sample_block(max, || draw_sub_pair(rng, n, start, len))
+    }
+
+    fn skip(&mut self, count: u64) {
+        let fresh = self.buf.discard(count);
+        jump::skip(&mut self.rng, fresh);
     }
 }
 
@@ -826,6 +873,87 @@ mod tests {
         let mut cursor = SubSchedule::new(20, 5, 5, 1).cursor();
         cursor.start = 18;
         let _ = SubSchedule::from_cursor(cursor);
+    }
+
+    /// Skip lengths straddling the block size, up to a long jump.
+    const SKIPS: [u64; 8] = [0, 1, 3, 255, 4095, 4096, 4097, 100_003];
+
+    /// Consume `k` pairs the faithful way (scalar draws).
+    fn drain<S: PairSource>(source: &mut S, k: u64) {
+        for _ in 0..k {
+            source.next_pair();
+        }
+    }
+
+    /// A schedule whose buffer holds `pending` pairs (the first
+    /// `pending` pairs of its stream) and whose RNG sits past them.
+    fn with_pending_buffer(n: usize, seed: u64, pending: usize) -> Schedule {
+        let mut advanced = Schedule::new(n, seed);
+        let replay: Vec<Pair> = (0..pending)
+            .map(|_| {
+                let (i, j) = advanced.next_pair();
+                (i as u32, j as u32)
+            })
+            .collect();
+        let mut cursor = advanced.cursor();
+        cursor.pending = replay;
+        Schedule::from_cursor(cursor)
+    }
+
+    #[test]
+    fn schedule_skip_equals_draining_from_an_empty_buffer() {
+        for k in SKIPS {
+            let mut skipped = Schedule::new(40, 8);
+            let mut drained = Schedule::new(40, 8);
+            drained.sample_block(100);
+            skipped.sample_block(100);
+            skipped.skip(k);
+            drain(&mut drained, k);
+            assert_eq!(skipped.cursor(), drained.cursor(), "k = {k}");
+            assert_eq!(skipped.next_pair(), drained.next_pair(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn schedule_skip_equals_draining_from_a_partly_consumed_buffer() {
+        // 10 pairs buffered, 3 consumed: skips shorter than, equal to
+        // and longer than the 7 left must all land where draining does.
+        for k in SKIPS.into_iter().chain([6, 7, 8]) {
+            let mut skipped = with_pending_buffer(40, 9, 10);
+            let mut drained = with_pending_buffer(40, 9, 10);
+            drain(&mut skipped, 3);
+            drain(&mut drained, 3);
+            skipped.skip(k);
+            drain(&mut drained, k);
+            assert_eq!(skipped.buffered(), drained.buffered(), "k = {k}");
+            assert_eq!(skipped.cursor(), drained.cursor(), "k = {k}");
+            assert_eq!(skipped.next_pair(), drained.next_pair(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn sub_schedule_skip_equals_draining() {
+        for k in SKIPS {
+            // Empty buffer.
+            let mut skipped = SubSchedule::new(50, 10, 20, 4);
+            let mut drained = SubSchedule::new(50, 10, 20, 4);
+            skipped.skip(k);
+            drain(&mut drained, k);
+            assert_eq!(skipped.cursor(), drained.cursor(), "k = {k}");
+            assert_eq!(skipped.next_pair(), drained.next_pair(), "k = {k}");
+
+            // A partly consumed buffer restored from a cursor.
+            let mut cursor = SubSchedule::new(50, 10, 20, 5).cursor();
+            cursor.pending = vec![(11, 3), (12, 40), (29, 0), (10, 11)];
+            let mut skipped = SubSchedule::from_cursor(cursor.clone());
+            let mut drained = SubSchedule::from_cursor(cursor);
+            drain(&mut skipped, 1);
+            drain(&mut drained, 1);
+            skipped.skip(k);
+            drain(&mut drained, k);
+            assert_eq!(skipped.cursor(), drained.cursor(), "k = {k}");
+            assert_eq!(skipped.next_pair(), drained.next_pair(), "k = {k}");
+        }
     }
 
     #[test]

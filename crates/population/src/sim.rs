@@ -151,6 +151,8 @@ impl<P: BatchedProtocol, H: FaultHook<P>> FaultHook<crate::ScalarBlock<Packed<P>
 /// * [`run_batched`](Simulator::run_batched) — the hot path: pairs are
 ///   pre-sampled in blocks and applied in a tight loop. **Bit-for-bit
 ///   trajectory-equivalent** to scalar stepping under the same seed.
+///   Its block loop, [`advance_blocks`], also fast-forwards exactly
+///   over configurations the protocol certifies silent.
 ///
 /// Faults, checkpoints and observers are scheduled by the one run loop,
 /// [`drive`], for which `Simulator` is an [`Engine`]:
@@ -273,7 +275,11 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
     /// gather/classify/lane kernel instead — same trajectory bit for
     /// bit. Null interactions dirty no cache lines on either path
     /// (kernels skip the write-back of unchanged words); this is why
-    /// the `changed` flag's "no false negatives" contract exists.
+    /// the `changed` flag's "no false negatives" contract exists. A
+    /// burst of at least one block over a configuration the protocol
+    /// certifies silent ([`Protocol::certify_silent`]) runs no pair at
+    /// all: the pair stream jumps past it, with the same result bit
+    /// for bit (see [`advance_blocks`]).
     pub fn run_batched(&mut self, count: u64) {
         self.advance(count, &mut NullProbe);
     }
@@ -468,25 +474,14 @@ impl<P: Protocol, S: PairSource> Engine for Simulator<P, S> {
     }
 
     fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        let mut remaining = count;
-        while remaining > 0 {
-            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-            let block = self.schedule.sample_block(want);
-            let changed = self.protocol.transition_block(&mut self.states, block);
-            let executed = block.len() as u64;
-            self.interactions += executed;
-            remaining -= executed;
-            if B::ACTIVE {
-                probe.block(
-                    &self.protocol,
-                    self.interactions,
-                    changed,
-                    0,
-                    0,
-                    &self.states,
-                );
-            }
-        }
+        advance_blocks(
+            &self.protocol,
+            &mut self.states,
+            &mut self.schedule,
+            &mut self.interactions,
+            count,
+            probe,
+        );
     }
 
     fn read<R>(&self, f: impl FnOnce(&[P::State]) -> R) -> R {
@@ -495,6 +490,66 @@ impl<P: Protocol, S: PairSource> Engine for Simulator<P, S> {
 
     fn write<R>(&mut self, f: impl FnOnce(&P, &mut [P::State]) -> R) -> R {
         f(&self.protocol, &mut self.states)
+    }
+}
+
+/// Execute exactly `count` interactions of `protocol` over `states`,
+/// drawing pairs from `source` and adding them to `interactions` — the
+/// block loop of every sequential engine ([`Simulator`] and the `dynamic`
+/// crate's population), so its silent fast path exists once.
+///
+/// **Faithful path.** Pairs are pre-sampled in blocks of at most
+/// [`BLOCK_PAIRS`] and each block goes whole to
+/// [`Protocol::transition_block`]; an active `probe` sees every block.
+///
+/// **Silent fast-forward.** When all three of these hold at entry —
+///
+/// 1. the probe is inactive (`!B::ACTIVE`), so a probed or traced run
+///    stays faithful and remains the oracle;
+/// 2. `count ≥ BLOCK_PAIRS`, so short poll bursts never pay for the
+///    certificate;
+/// 3. [`Protocol::certify_silent`] certifies the configuration —
+///
+/// the loop runs no pair at all: it moves the pair stream past `count`
+/// pairs with [`PairSource::skip`] and adds `count` to the counter. This
+/// is exact, not approximate. A certified configuration is a fixed point
+/// of every ordered pair, so the faithful loop would leave every state
+/// unchanged whichever pairs it drew. The certificate has already
+/// credited the protocol's counters with what those interactions would
+/// have recorded. And `skip` leaves the source exactly where drawing
+/// `count` pairs would (the RNG jump is an exact linear map). States,
+/// interaction count, scheduler cursor and instrumentation therefore
+/// all match the faithful loop bit for bit. The certificate is checked
+/// once per call; a configuration that turns silent mid-burst finishes
+/// the burst on the faithful path.
+pub fn advance_blocks<P, S, B>(
+    protocol: &P,
+    states: &mut [P::State],
+    source: &mut S,
+    interactions: &mut u64,
+    count: u64,
+    probe: &mut B,
+) where
+    P: Protocol,
+    S: PairSource,
+    B: Probe<P>,
+{
+    if !B::ACTIVE && count >= BLOCK_PAIRS as u64 && protocol.certify_silent(states, count) {
+        source.skip(count);
+        *interactions += count;
+        return;
+    }
+    let mut remaining = count;
+    while remaining > 0 {
+        let want = remaining.min(BLOCK_PAIRS as u64) as usize;
+        let block = source.sample_block(want);
+        let changed = protocol.transition_block(states, block);
+        let executed = block.len() as u64;
+        *interactions += executed;
+        remaining -= executed;
+        if B::ACTIVE {
+            probe.block(protocol, *interactions, changed, 0, 0, states);
+        }
     }
 }
 

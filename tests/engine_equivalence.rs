@@ -18,12 +18,15 @@ use silent_ranking::dynamic::{ChurnConfig, DynamicPopulation};
 use silent_ranking::population::observe::Meter;
 use silent_ranking::population::primitives::coin::CoinPopulation;
 use silent_ranking::population::primitives::epidemic::Epidemic;
+use silent_ranking::population::schedule::BLOCK_PAIRS;
 use silent_ranking::population::{
-    drive, Control, Engine, FaultHook, MemoryCheckpointer, NoFaults, NullProbe, Observer, Probe,
-    Protocol, Save, Simulator, StopReason, Watch,
+    drive, Control, CursorSource, Engine, FaultHook, MemoryCheckpointer, NoFaults, NullProbe,
+    Observer, Packed, Probe, Protocol, Save, ScalarBlock, Simulator, StopReason, UnpackedHook,
+    Watch,
 };
-use silent_ranking::ranking::stable::StableRanking;
+use silent_ranking::ranking::stable::{PackedState, StableRanking};
 use silent_ranking::ranking::Params;
+use silent_ranking::scenarios::{ranking_faults, FaultPlan};
 use silent_ranking::shard::ShardedSimulator;
 
 /// Run `total` interactions twice from identical initial conditions —
@@ -333,5 +336,131 @@ proptest! {
         for (k, (frame, _)) in ckpt.saved.iter().enumerate() {
             prop_assert_eq!(frame.interactions, (k as u64 + 1) * save_every);
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The silent fast-forward
+// ----------------------------------------------------------------------
+
+/// A legal (certified-silent) start for the kernel path.
+fn legal_kernel(n: usize, seed: u64) -> Simulator<Packed<StableRanking>> {
+    let p = Packed(StableRanking::new(Params::new(n)));
+    let init = p.pack_all(&p.inner().legal());
+    Simulator::new(p, init, seed)
+}
+
+/// The faithful twin of [`legal_kernel`]: the scalar block loop, which
+/// never certifies, so it runs every pair.
+fn legal_scalar(n: usize, seed: u64) -> Simulator<ScalarBlock<Packed<StableRanking>>> {
+    let p = ScalarBlock(Packed(StableRanking::new(Params::new(n))));
+    let init = p.0.pack_all(&p.0.inner().legal());
+    Simulator::new(p, init, seed)
+}
+
+/// An active probe that only counts blocks.
+struct CountBlocks(u64);
+
+impl<P: Protocol> Probe<P> for CountBlocks {
+    fn block(&mut self, _: &P, _: u64, _: u64, _: usize, _: usize, _: &[P::State]) {
+        self.0 += 1;
+    }
+}
+
+/// The fast path engages only on a certified configuration, for a burst
+/// of at least one block, under an inactive probe — and wherever it
+/// engages or not, the run ends where the faithful loop does.
+#[test]
+fn silent_fast_forward_engages_only_under_its_three_conditions() {
+    let n = 32;
+    let block = BLOCK_PAIRS as u64;
+    let skipped = |sim: &Simulator<Packed<StableRanking>>| sim.protocol().inner().silent_skipped();
+    let check = |sim: &Simulator<Packed<StableRanking>>, count: u64| {
+        let mut twin = legal_scalar(n, 9);
+        twin.run_batched(count);
+        assert_eq!(sim.states(), twin.states());
+        assert_eq!(sim.interactions(), twin.interactions());
+        assert_eq!(sim.source().cursor(), twin.source().cursor());
+        assert_eq!(sim.protocol().inner().dispatch_mix(), [0, 0, 0, count]);
+    };
+
+    let mut sim = legal_kernel(n, 9);
+    sim.run_batched(100 * block + 17);
+    assert_eq!(skipped(&sim), 100 * block + 17, "all three hold: skipped");
+    check(&sim, 100 * block + 17);
+
+    let mut sim = legal_kernel(n, 9);
+    sim.run_batched(block - 1);
+    assert_eq!(skipped(&sim), 0, "a burst under one block runs every pair");
+    check(&sim, block - 1);
+
+    let mut sim = legal_kernel(n, 9);
+    let mut probe = CountBlocks(0);
+    sim.run_probed(10 * block, &mut probe);
+    assert_eq!(skipped(&sim), 0, "an active probe sees every block");
+    assert_eq!(probe.0, 10);
+    check(&sim, 10 * block);
+
+    // An unranked agent: no certificate, every pair runs.
+    let p = Packed(StableRanking::new(Params::new(n)));
+    let mut init = p.pack_all(&p.inner().legal());
+    init[3] = PackedState::pack(&p.inner().elector(true));
+    let mut sim = Simulator::new(p, init, 9);
+    sim.run_batched(10 * block);
+    assert_eq!(
+        skipped(&sim),
+        0,
+        "an uncertified configuration runs every pair"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    /// A faulted, checkpointed soak through `drive` from a legal start:
+    /// the kernel path, which fast-forwards every certified burst,
+    /// matches its faithful twin (`ScalarBlock`, which never certifies)
+    /// in the final words, the interaction count, every saved frame
+    /// (scheduler cursors included) with its fault state, and the fault
+    /// log; its dispatch mix still accounts for every interaction.
+    #[test]
+    fn silent_fast_forward_through_drive_equals_the_faithful_twin(
+        seed in 0u64..10_000,
+        save_every in 4096u64..20_000,
+    ) {
+        let n = 16;
+        let period = 200 * (n * n) as u64;
+        let total = 12 * period;
+        let plan = |p: &StableRanking| {
+            UnpackedHook::new(FaultPlan::new(seed ^ 0xF00D).periodic(
+                period / 2,
+                period,
+                ranking_faults::corrupt(p, n / 4),
+            ))
+        };
+
+        let mut fast = legal_kernel(n, seed);
+        let mut fast_hook = plan(fast.protocol().inner());
+        let mut fast_saves = MemoryCheckpointer::every(save_every);
+        fast.run_faulted_checkpointed(total, &mut fast_hook, &mut fast_saves);
+
+        let mut faithful = legal_scalar(n, seed);
+        let mut faithful_hook = plan(faithful.protocol().0.inner());
+        let mut faithful_saves = MemoryCheckpointer::every(save_every);
+        faithful.run_faulted_checkpointed(total, &mut faithful_hook, &mut faithful_saves);
+
+        prop_assert_eq!(fast.interactions(), total);
+        prop_assert_eq!(fast.interactions(), faithful.interactions());
+        prop_assert_eq!(fast.states(), faithful.states());
+        prop_assert_eq!(fast.source().cursor(), faithful.source().cursor());
+        prop_assert_eq!(fast_saves.saved.len() as u64, total / save_every);
+        prop_assert_eq!(&fast_saves.saved, &faithful_saves.saved);
+        prop_assert_eq!(fast_hook.inner().fired(), faithful_hook.inner().fired());
+        prop_assert_eq!(fast_hook.inner().fired().len(), 12);
+
+        let kernel = fast.protocol().inner();
+        prop_assert_eq!(kernel.dispatch_mix().iter().sum::<u64>(), total);
+        prop_assert!(kernel.silent_skipped() > 0, "the fast path never engaged");
+        prop_assert!(kernel.silent_skipped() < total, "faults must force faithful stretches");
     }
 }
