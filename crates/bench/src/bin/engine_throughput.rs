@@ -28,7 +28,11 @@
 //!   path targets. `run_batched` would not execute those pairs at all
 //!   (it certifies the configuration silent and jumps the pair stream
 //!   past the burst), so these two rows time their batched column with
-//!   a bench-local copy of the faithful block loop;
+//!   a bench-local copy of the faithful block loop: one
+//!   `Protocol::transition_pairs` call per chunk on the uniform
+//!   `Schedule`, exactly as the engine makes it — the kernel row
+//!   therefore times the *fused* path, where each pair is run as it is
+//!   drawn;
 //! * `stable_ranking_kernel_silent_ff`: the converged configuration
 //!   through `run_batched` itself, i.e. the silent fast-forward
 //!   (informational; it times the certificate and the RNG jump, not a
@@ -56,10 +60,18 @@
 //! and, at `n ≥ 10⁴`, that the kernel is at least `kernel_floor=`
 //! (default 0.7) times the scalar packed path on the transient
 //! workload, at least `silent_floor=` (default 1.05) times it on
-//! the converged workload, that the best paired null-probe ratio
-//! reaches `probe_floor=` (default 0.95), and that the fast-forward row
-//! ends bit-identical (words and scheduler cursor) to the faithful
-//! kernel silent row — the CI throughput smoke.
+//! the converged workload, that the best paired fused/slices ratio on
+//! the converged workload reaches `FUSED_FLOOR` (1.05, fixed), that the
+//! best paired null-probe ratio reaches `probe_floor=` (default 0.95),
+//! and that the fast-forward row ends bit-identical (words and
+//! scheduler cursor) to the faithful kernel silent row — the CI
+//! throughput smoke.
+//!
+//! The `fused_overhead` block pairs the kernel's fused loop with the
+//! same kernel fed pre-sampled `sample_block` slices through
+//! `transition_block` (the path every non-uniform source takes) on the
+//! converged configuration, sampled back to back; it records both rates
+//! and the best paired slices/fused time ratio.
 //!
 //! Usage: `cargo run --release -p bench --bin engine_throughput --
 //! [interactions=20000000] [samples=5] [sizes=1000,10000,100000]
@@ -162,13 +174,48 @@ where
     (m, sim)
 }
 
+/// Run `interactions` pairs of `schedule` over `words` the way the
+/// engine's faithful block loop does: one `transition_pairs` call per
+/// chunk of at most `BLOCK_PAIRS` — the fused path for the kernel, the
+/// slice path for every other protocol.
+fn run_chunks<P: Protocol>(
+    p: &P,
+    words: &mut [P::State],
+    schedule: &mut Schedule,
+    interactions: u64,
+) {
+    let mut remaining = interactions;
+    while remaining > 0 {
+        let chunk = remaining.min(BLOCK_PAIRS as u64);
+        p.transition_pairs(words, schedule, chunk as usize);
+        remaining -= chunk;
+    }
+}
+
+/// The same pairs fed to `transition_block` as pre-sampled slices — the
+/// unfused path, which every non-uniform source takes.
+fn run_slices<P: Protocol>(
+    p: &P,
+    words: &mut [P::State],
+    schedule: &mut Schedule,
+    interactions: u64,
+) {
+    let mut remaining = interactions;
+    while remaining > 0 {
+        let want = remaining.min(BLOCK_PAIRS as u64) as usize;
+        let block = schedule.sample_block(want);
+        p.transition_block(words, block);
+        remaining -= block.len() as u64;
+    }
+}
+
 /// The silent rows' batched column: a bench-local copy of the engine's
-/// faithful block loop (sample a block, hand it to `transition_block`),
-/// which — unlike `run_batched` — never fast-forwards a certified-silent
-/// configuration. So these rows keep timing the transition path on
-/// null pairs, the thing the `silent_floor` gate compares, rather than
-/// the certificate and the RNG jump. Returns the final position (words
-/// and scheduler cursor) for the fast-forward row's identity check.
+/// faithful block loop ([`run_chunks`]), which — unlike `run_batched` —
+/// never fast-forwards a certified-silent configuration. So these rows
+/// keep timing the transition path on null pairs, the thing the
+/// `silent_floor` gate compares, rather than the certificate and the
+/// RNG jump. Returns the final position (words and scheduler cursor)
+/// for the fast-forward row's identity check.
 fn measure_silent<P>(
     name: &'static str,
     n: usize,
@@ -191,13 +238,7 @@ where
     let mut words = init;
     let mut schedule = Schedule::new(n, 7);
     let batched = time_runs(1, samples, || {
-        let mut remaining = interactions;
-        while remaining > 0 {
-            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-            let block = schedule.sample_block(want);
-            p.transition_block(&mut words, block);
-            remaining -= block.len() as u64;
-        }
+        run_chunks(&p, &mut words, &mut schedule, interactions)
     });
     let dispatch_mix = finish(&p, interactions * (samples as u64 + 1));
 
@@ -210,6 +251,62 @@ where
         dispatch_mix,
     };
     (m, words, schedule.cursor())
+}
+
+/// The smoke's fused-path guard: on at least one paired sample the
+/// kernel's fused loop must beat its own slice loop by this factor on
+/// the silent workload at `n ≥ 10⁴`. A wrapper or engine change that
+/// drops the fused path lands near 1.0; the fused loop measures about
+/// 1.2–2.2× on a shared 2-vCPU VM.
+const FUSED_FLOOR: f64 = 1.05;
+
+/// The fused-vs-slices pair, measured by interleaved paired sampling
+/// (see [`ProbeRows`] for why): every sample times the kernel's fused
+/// loop ([`run_chunks`]) and its slice loop ([`run_slices`]) back to
+/// back over twin silent configurations and schedules.
+struct FusedOverhead {
+    n: usize,
+    interactions: u64,
+    fused_ips: f64,
+    slices_ips: f64,
+    /// Best (max) per-sample ratio `t_slices / t_fused` — the smoke gate.
+    best_ratio: f64,
+}
+
+fn measure_fused_overhead(n: usize, interactions: u64, samples: usize) -> FusedOverhead {
+    let p = kernel(n);
+    let init = p.pack_all(&ranked_init(n));
+    let (mut fused_words, mut slice_words) = (init.clone(), init);
+    let (mut fused_sched, mut slice_sched) = (Schedule::new(n, 7), Schedule::new(n, 7));
+    let mut fused_t = Vec::with_capacity(samples);
+    let mut slices_t = Vec::with_capacity(samples);
+    let mut best_ratio = 0.0f64;
+    // One untimed warmup per path, then the paired samples.
+    for k in 0..=samples {
+        let t0 = Instant::now();
+        run_chunks(&p, &mut fused_words, &mut fused_sched, interactions);
+        let tf = t0.elapsed().as_secs_f64();
+        let t0 = Instant::now();
+        run_slices(&p, &mut slice_words, &mut slice_sched, interactions);
+        let ts = t0.elapsed().as_secs_f64();
+        if k > 0 {
+            best_ratio = best_ratio.max(ts / tf);
+            fused_t.push(tf);
+            slices_t.push(ts);
+        }
+    }
+    FusedOverhead {
+        n,
+        interactions,
+        fused_ips: interactions as f64 / median(fused_t),
+        slices_ips: interactions as f64 / median(slices_t),
+        best_ratio,
+    }
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 /// Minimal reader for previously written `BENCH_engine.json` artifacts:
@@ -331,10 +428,6 @@ fn measure_probe_rows(n: usize, interactions: u64, samples: usize) -> ProbeRows 
         null_t.push(tn);
         rec_t.push(tr);
     }
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
     ProbeRows {
         n,
         interactions,
@@ -365,6 +458,7 @@ fn main() -> ExitCode {
     // Per size: did the fast-forward row end bit-identical (words and
     // cursor) to the faithful kernel silent row?
     let mut silent_identity = Vec::new();
+    let mut fused_overhead = Vec::new();
     for &n in &sizes {
         results.push(measure("epidemic", n, interactions, samples, || {
             let p = Epidemic::new(n);
@@ -458,6 +552,8 @@ fn main() -> ExitCode {
         );
         results.push(m);
         silent_identity.push((n, ff.states() == words && ff.source().cursor() == cursor));
+        // The same kernel fed slices, paired with the fused loop.
+        fused_overhead.push(measure_fused_overhead(n, interactions / 4, samples));
     }
 
     // Probe-seam overhead rows: paired unprobed vs NullProbe vs
@@ -561,6 +657,23 @@ fn main() -> ExitCode {
             ),
         ),
         (
+            "fused_overhead",
+            Json::Arr(
+                fused_overhead
+                    .iter()
+                    .map(|f| {
+                        Json::obj([
+                            ("n", f.n.into()),
+                            ("interactions", f.interactions.into()),
+                            ("fused_interactions_per_sec", f.fused_ips.into()),
+                            ("slices_interactions_per_sec", f.slices_ips.into()),
+                            ("best_slices_over_fused_paired_ratio", f.best_ratio.into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
             "measurements",
             Json::Arr(
                 results
@@ -648,6 +761,21 @@ fn main() -> ExitCode {
                 eprintln!(
                     "SMOKE FAILURE: the silent fast-forward ended at different words or \
                      scheduler cursor than the faithful kernel loop at n={n}"
+                );
+                ok = false;
+            }
+        }
+        for f in fused_overhead.iter().filter(|f| f.n >= 10_000) {
+            exp.note(&format!(
+                "smoke n={}: best paired silent fused/slices ratio {:.3} (floor {FUSED_FLOOR})",
+                f.n, f.best_ratio
+            ));
+            if f.best_ratio < FUSED_FLOOR {
+                eprintln!(
+                    "SMOKE FAILURE: the kernel's fused loop reached only {:.3}x its slice \
+                     loop at n={} across every paired sample (floor {FUSED_FLOOR}) — the \
+                     fused path regressed or is no longer taken",
+                    f.best_ratio, f.n
                 );
                 ok = false;
             }

@@ -7,12 +7,18 @@
 //! full `ranking_plus_step_packed` call on every main/main meeting —
 //! including the null meetings a converged population consists of —
 //! and an atomic RMW per instrumented event. The kernel processes a
-//! whole schedule block in one in-order pass with those costs
+//! whole chunk of pairs in one in-order pass with those costs
 //! restructured away:
 //!
 //! ```text
-//!  schedule block (≤ 4096 pairs)
-//!        │  in-order pass, one pair at a time
+//!  chunk (≤ 4096 pairs): drawn one at a time off the Schedule's RNG
+//!        │  (fused, transition_pairs) or read from a sample_block slice
+//!        │  (transition_block) — one pass body, inlined into both
+//!        ▼
+//!  load both words by value
+//!        ├─ null first: (u|v) & TAG_MASK == 0 && u != v
+//!        │    two distinct ranked agents → next pair (no borrow, no
+//!        │    classification, no counter, no store)
 //!        ▼
 //!  classify: branchless one-hot mask tests over the two loaded words
 //!        │    reset: (u|v) & TAG_RESET       both-elect: u & v & TAG_ELECT
@@ -22,10 +28,11 @@
 //!        ├─ reset-involved → propagate_step_packed
 //!        ├─ both-electing  → branchless lottery word step
 //!        ├─ one-electing   → mask-selected join_phase1 rebirth
-//!        └─ main/main      → ranked×ranked null fast path (no store),
-//!        │                   else ranking_plus
+//!        └─ main/main      → ranking_plus (unranked, or a duplicate rank)
 //!        ▼  shared tail: branchless coin toggle + changed compare
 //!  words (flat SoA Vec<PackedState>)
+//!        ▼  flush: resets and the three counted classes; main/main =
+//!           pairs − (reset + both-elect + one-elect)
 //! ```
 //!
 //! Because the pass executes pairs in draw order, it is bit-for-bit the
@@ -45,12 +52,30 @@
 //!
 //! The per-class wins over `transition_packed`:
 //!
-//! * **main/main**: two distinct ranked agents are a null pair —
-//!   detected with one mask test, no store, no coin to toggle. This is
-//!   the silent-configuration fast path: a converged population takes
-//!   it on essentially every interaction, and there the kernel measures
-//!   ~1.3–1.5× the scalar packed loop (~80% of the engine-bound
-//!   epidemic ceiling; the `*_silent` rows of `BENCH_engine.json`).
+//! * **null first**: two distinct ranked agents are a null pair —
+//!   detected with one mask test on the two words loaded by value,
+//!   before the split borrow, the class chain or any counter: no
+//!   store, no coin to toggle. A converged population takes this exit
+//!   on essentially every interaction, and so does most of a
+//!   stabilization run: at `n = 512` the last few unranked agents take
+//!   the bulk of the Theorem 2 time, and ~93% of all pairs meet two
+//!   ranked agents. The main/main counter is therefore not bumped per
+//!   pair; every pair is in exactly one class, so the flush derives it
+//!   as the chunk's pair count minus the three counted classes. A
+//!   ranked×ranked *duplicate* (two agents holding one rank) is not
+//!   null: it falls through to Ranking⁺, which resolves it.
+//! * **fused draw**: on the uniform `Schedule` the engine's chunk
+//!   reaches the kernel through
+//!   [`transition_pairs`](BatchedProtocol::transition_pairs), which
+//!   takes the pairs as a [`Draws`](population::schedule::Draws)
+//!   iterator: each pair is drawn into registers and consumed at once,
+//!   never stored to or reloaded from the 32 KiB block buffer. On a
+//!   null pair the buffer round trip cost more than the pair: the
+//!   `fused_overhead` block of `BENCH_engine.json` records the fused
+//!   loop at 1.4–2.2× its own slice loop on the silent workload (best
+//!   interleaved pair). Sources that decline `draws` (and `n = 2`)
+//!   keep the slice path, and so do the sharded lanes, which hand the
+//!   kernel their lane-local pairs as a slice.
 //! * **both-electing**: the embedded Protocol 5 lottery runs as
 //!   straight-line mask arithmetic directly on the packed word
 //!   (`elect_step_word`) — no field unpack, no effect enum — with
@@ -60,7 +85,7 @@
 //!   mask-multiply, the changed flag is a non-shortcircuit compare, and
 //!   reset-event / dispatch-mix instrumentation is accumulated in
 //!   locals and flushed with one relaxed `fetch_add` per counter per
-//!   block (the scalar dispatcher pays one per event). The mix feeds
+//!   chunk (the scalar dispatcher pays one per event). The mix feeds
 //!   [`StableRanking::dispatch_mix`] so `engine_throughput` can
 //!   attribute a kernel regression to a workload shift.
 //!
@@ -76,10 +101,11 @@
 //! Equivalence with the scalar packed loop — and, through it, with the
 //! structured enum path — is property-tested in
 //! `tests/packed_equivalence.rs` (random runs, block boundaries,
-//! repeated-agent blocks, faulted and sharded runs).
+//! repeated-agent blocks, faulted and sharded runs, and the fused path
+//! against the slice path on a source that declines `draws`).
 
-use population::schedule::Pair;
-use population::{pair_mut, BatchedProtocol, PackedProtocol};
+use population::schedule::{for_each_block, Pair};
+use population::{pair_mut, BatchedProtocol, PackedProtocol, PairSource};
 
 use crate::stable::packed::{PackedState, A_SHIFT, COIN_BIT, TAG_ELECT, TAG_MASK, TAG_RESET};
 use crate::stable::ranking_plus::ranking_plus_step_packed;
@@ -134,31 +160,39 @@ fn elect_step_word(t: &StepTables, half: u64, u: u64, v: u64) -> (u64, bool) {
     (w, false)
 }
 
-impl BatchedProtocol for StableRanking {
-    fn transition_block(&self, words: &mut [PackedState], pairs: &[Pair]) -> u64 {
-        // n = 2 routes through the deterministic-election special case
-        // inside `transition_packed`, which reads `params.n()`; keep it
-        // on the scalar loop rather than teaching the kernel a case the
-        // schedule only produces for a two-agent population.
-        if self.params.n() == 2 {
-            let mut changed = 0;
-            for &(i, j) in pairs {
-                let (u, v) = pair_mut(words, i as usize, j as usize);
-                changed += u64::from(self.transition_packed(u, v));
-            }
-            return changed;
-        }
-
+impl StableRanking {
+    /// The kernel body: one in-order pass over `total` pairs, whichever
+    /// way they arrive — a buffered slice or a
+    /// [`Draws`](population::schedule::Draws) run straight off the
+    /// generator. Inlined into both callers so each gets its own loop
+    /// with the pair source's state in registers.
+    #[inline(always)]
+    fn kernel_pass(
+        &self,
+        words: &mut [PackedState],
+        pairs: impl Iterator<Item = Pair>,
+        total: u64,
+    ) -> u64 {
         let t = &self.tables;
         let half = u64::from(self.fast.l_max / 2);
         let join = t.join_phase1.bits();
         let mut changed = 0u64;
         let mut resets = 0u64;
-        let mut mix = [0u64; 4];
+        // Reset, both-elect and one-elect hits; main/main is derived at
+        // the flush.
+        let mut mix = [0u64; 3];
 
-        for &(i, j) in pairs {
-            let (u, v) = pair_mut(words, i as usize, j as usize);
-            let (pu, pv) = (u.0, v.0);
+        for (i, j) in pairs {
+            let (i, j) = (i as usize, j as usize);
+            let (pu, pv) = (words[i].0, words[j].0);
+            // Null first: two distinct ranked words (no tag bit set)
+            // meet without a state change, no coin to toggle, no store.
+            // Once ranking stabilizes almost every pair leaves here,
+            // before any borrow or classification.
+            if (pu | pv) & TAG_MASK == 0 && pu != pv {
+                continue;
+            }
+            let (u, v) = pair_mut(words, i, j);
 
             // One-hot classification over the two loaded words — each
             // test is a single fused mask op — feeding the same skewed
@@ -191,15 +225,9 @@ impl BatchedProtocol for StableRanking {
                 u.0 = if ue { join | (pu & COIN_BIT) } else { pu };
                 v.0 = if ue { pv } else { join | (pv & COIN_BIT) };
             } else {
-                // Both in main states: the silent-configuration fast
-                // path first — two distinct ranked agents are a null
-                // pair (no state change, no coin to toggle, no store),
-                // and once ranking stabilizes almost every interaction
-                // takes this exit — full Ranking⁺ otherwise.
-                mix[3] += 1;
-                if or & TAG_MASK == 0 && pu != pv {
-                    continue;
-                }
+                // Both in main states and not a null pair: full
+                // Ranking⁺ (an unranked agent, or two agents holding
+                // the same rank).
                 let out = ranking_plus_step_packed(t, u, v);
                 resets += u64::from(out.reset_triggered);
             }
@@ -212,17 +240,63 @@ impl BatchedProtocol for StableRanking {
         }
 
         // Flush the locally accumulated instrumentation to the metrics
-        // registry: one relaxed RMW per counter per block instead of
-        // one per event.
+        // registry: one relaxed RMW per counter per call instead of one
+        // per event. Every pair is in exactly one class, so main/main —
+        // null exits included — is what the other three leave over.
         if resets > 0 {
             self.metrics.resets.add(resets);
         }
-        for (hits, count) in self.metrics.classes.iter().zip(mix) {
+        let main = total - mix.iter().sum::<u64>();
+        for (hits, count) in self
+            .metrics
+            .classes
+            .iter()
+            .zip(mix.into_iter().chain([main]))
+        {
             if count > 0 {
                 hits.add(count);
             }
         }
         changed
+    }
+}
+
+impl BatchedProtocol for StableRanking {
+    fn transition_block(&self, words: &mut [PackedState], pairs: &[Pair]) -> u64 {
+        // n = 2 routes through the deterministic-election special case
+        // inside `transition_packed`, which reads `params.n()`; keep it
+        // on the scalar loop rather than teaching the kernel a case the
+        // schedule only produces for a two-agent population.
+        if self.params.n() == 2 {
+            let mut changed = 0;
+            for &(i, j) in pairs {
+                let (u, v) = pair_mut(words, i as usize, j as usize);
+                changed += u64::from(self.transition_packed(u, v));
+            }
+            return changed;
+        }
+        self.kernel_pass(words, pairs.iter().copied(), pairs.len() as u64)
+    }
+
+    /// The fused path: when the source serves the chunk as a
+    /// [`Draws`](population::schedule::Draws) run, the kernel consumes
+    /// each pair as it is drawn and the pair never touches a buffer.
+    /// A source that declines (or `n = 2`) takes the slice path through
+    /// [`transition_block`](Self::transition_block).
+    fn transition_pairs<S: PairSource + ?Sized>(
+        &self,
+        words: &mut [PackedState],
+        source: &mut S,
+        count: usize,
+    ) -> u64 {
+        if self.params.n() != 2 {
+            if let Some(draws) = source.draws(count) {
+                return self.kernel_pass(words, draws, count as u64);
+            }
+        }
+        for_each_block(source, count, |pairs| {
+            BatchedProtocol::transition_block(self, words, pairs)
+        })
     }
 
     /// The silence certificate, one O(n) pass: every word is a ranked
@@ -261,9 +335,9 @@ impl BatchedProtocol for StableRanking {
 mod tests {
     use super::*;
     use crate::params::Params;
-    use crate::stable::state::{StableState, UnRole, UnState};
+    use crate::stable::state::{MainKind, StableState, UnRole, UnState};
     use leader_election::fast::FastLeState;
-    use population::{Packed, Protocol};
+    use population::{CursorSource, Packed, Protocol, Schedule};
 
     fn protocol(n: usize) -> StableRanking {
         StableRanking::new(Params::new(n))
@@ -358,6 +432,119 @@ mod tests {
                 "case {case}: reset instrumentation"
             );
         }
+    }
+
+    /// The class a pair of loaded words falls into, by the kernel's
+    /// masks: `[reset, both-elect, one-elect, main/main]`.
+    fn class_of(pu: u64, pv: u64) -> usize {
+        if (pu | pv) & TAG_RESET != 0 {
+            0
+        } else if pu & pv & TAG_ELECT != 0 {
+            1
+        } else if (pu | pv) & TAG_ELECT != 0 {
+            2
+        } else {
+            3
+        }
+    }
+
+    /// The derived main/main count — what the three counted classes
+    /// leave over — equals a per-pair count on crafted blocks that hit
+    /// every class, the ranked×ranked duplicate (a main/main pair that
+    /// is *not* null) included.
+    #[test]
+    fn derived_main_count_equals_a_per_pair_count() {
+        let n = 16;
+        let p = protocol(n);
+        let un = |role| PackedState::pack(&StableState::Un(UnState { coin: true, role }));
+        let mut init: Vec<PackedState> = (1..=n as u64)
+            .map(|r| PackedState::pack(&StableState::Ranked(r)))
+            .collect();
+        init[1] = init[0]; // a duplicate rank
+        init[2] = un(UnRole::Reset {
+            reset_count: p.params.r_max(),
+            delay_count: 0,
+        });
+        init[3] = PackedState::pack(&p.elector(true));
+        init[4] = PackedState::pack(&p.elector(false));
+        init[5] = un(UnRole::Main {
+            alive: p.params.l_max(),
+            kind: MainKind::Waiting(1),
+        });
+        let pairs: Vec<Pair> = vec![
+            (6, 7),   // ranked × ranked: null
+            (0, 1),   // ranked × ranked, same rank: not null
+            (2, 8),   // reset-involved
+            (3, 4),   // both electing
+            (9, 3),   // one electing
+            (5, 10),  // unranked main × ranked
+            (11, 12), // null again
+        ];
+        let pairs: Vec<Pair> = pairs.repeat(3);
+
+        // Per-pair reference: classify each pair on the words it meets,
+        // then step it through the scalar packed transition.
+        let reference = protocol(n);
+        let mut ref_words = init.clone();
+        let mut per_pair = [0u64; 4];
+        let mut duplicate_changed = false;
+        for (k, &(i, j)) in pairs.iter().enumerate() {
+            let (u, v) = pair_mut(&mut ref_words, i as usize, j as usize);
+            per_pair[class_of(u.0, v.0)] += 1;
+            let changed = reference.transition_packed(u, v);
+            duplicate_changed |= k == 1 && changed;
+        }
+        assert!(
+            per_pair.iter().all(|&c| c > 0),
+            "every class hit: {per_pair:?}"
+        );
+        assert!(duplicate_changed, "a duplicate-rank meeting is not null");
+
+        let mut words = init;
+        BatchedProtocol::transition_block(&p, &mut words, &pairs);
+        assert_eq!(words, ref_words);
+        assert_eq!(p.dispatch_mix(), per_pair);
+        assert_eq!(p.resets_triggered(), reference.resets_triggered());
+    }
+
+    /// `Σ dispatch_mix == interactions` over a whole stabilization run,
+    /// on the fused path (chunks drawn straight off a `Schedule`) and
+    /// the slice path (the same pairs pre-sampled); the two paths end
+    /// at one position with one mix.
+    #[test]
+    fn dispatch_mix_covers_a_stabilization_run_on_both_paths() {
+        let n = 24;
+        let init = Packed(protocol(n)).pack_all(&protocol(n).adversarial_uniform(4));
+        let (fused, sliced) = (protocol(n), protocol(n));
+        let (mut fused_words, mut sliced_words) = (init.clone(), init);
+        let (mut fused_sched, mut sliced_sched) = (Schedule::new(n, 8), Schedule::new(n, 8));
+        let mut total = 0u64;
+        while !population::is_valid_ranking(&fused_words) {
+            assert!(total < 50_000_000, "no stabilization within the budget");
+            let chunk = 4096;
+            BatchedProtocol::transition_pairs(&fused, &mut fused_words, &mut fused_sched, chunk);
+            for_each_block(&mut sliced_sched, chunk, |pairs| {
+                BatchedProtocol::transition_block(&sliced, &mut sliced_words, pairs)
+            });
+            total += chunk as u64;
+        }
+        assert_eq!(fused_words, sliced_words);
+        assert_eq!(fused_sched.cursor(), sliced_sched.cursor());
+        assert_eq!(fused.dispatch_mix(), sliced.dispatch_mix());
+        assert_eq!(fused.dispatch_mix().iter().sum::<u64>(), total);
+        assert_eq!(fused.resets_triggered(), sliced.resets_triggered());
+    }
+
+    /// `n = 2` keeps the scalar loop on both paths — no dispatch mix is
+    /// counted — and never certifies, so nothing is skipped.
+    #[test]
+    fn two_agents_stay_on_the_scalar_loop() {
+        let p = Packed(protocol(2));
+        let init = p.pack_all(&p.inner().legal());
+        let mut sim = population::Simulator::new(p, init, 5);
+        sim.run_batched(3 * 4096 + 1);
+        assert_eq!(sim.protocol().inner().dispatch_mix(), [0; 4]);
+        assert_eq!(sim.protocol().inner().silent_skipped(), 0);
     }
 
     /// The dispatch-mix counters account for every kernel-executed pair.

@@ -1237,8 +1237,11 @@ mod tests {
         );
         kernel.run(50_000);
         assert!(kernel.live() >= MIN_LIVE);
-        // Same seed, same config: the two packed shapes share one trajectory.
+        // Same seed, same config: the two packed shapes share one
+        // trajectory, and the kernel's fused pair draws leave the
+        // schedule where the scalar shape's buffered slices do.
         assert_eq!(packed.states(), kernel.states());
         assert_eq!(packed.ids(), kernel.ids());
+        assert_eq!(packed.frame().cursors, kernel.frame().cursors);
     }
 }

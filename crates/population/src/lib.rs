@@ -19,17 +19,21 @@
 //!   crate) plug into the same engine via
 //!   [`Simulator::with_source`]. Every source serves the same pair
 //!   stream two ways: one pair at a time (scalar stepping) or
-//!   pre-sampled in cache-sized blocks (the batched hot path). Because
-//!   both styles consume the stream in FIFO order, *every execution
-//!   mode yields the identical trajectory for a given seed*. For
+//!   pre-sampled in cache-sized blocks (the batched path); the uniform
+//!   scheduler also serves it as a [`schedule::Draws`] iterator
+//!   straight off its generator, for a kernel that runs each pair as it
+//!   is drawn. Because every style consumes the stream in FIFO order,
+//!   *every execution mode yields the identical trajectory for a given
+//!   seed*. For
 //!   parallel single-run execution, [`schedule::SubSchedule::split`]
 //!   partitions the uniform scheduler into balanced per-shard
 //!   sub-streams (the `shard` crate's engine is built on it).
 //! * **Execution** — [`Simulator`] applies the protocol's transition
 //!   function to scheduled pairs. [`Simulator::step`] executes one
 //!   interaction; [`Simulator::run_batched`] is the hot path, executing
-//!   interactions in blocks with no per-interaction bookkeeping. The two
-//!   are bit-for-bit trajectory-equivalent under the same seed. The
+//!   interactions in chunks ([`Protocol::transition_pairs`]) with no
+//!   per-interaction bookkeeping. The two are bit-for-bit
+//!   trajectory-equivalent under the same seed. The
 //!   block loop ([`advance_blocks`]) skips bursts over a configuration
 //!   the protocol certifies silent ([`Protocol::certify_silent`]) by
 //!   jumping the pair stream ([`schedule::PairSource::skip`]) — exact,
@@ -71,9 +75,11 @@
 //!   The packed path is bit-for-bit trajectory-equivalent to the
 //!   structured one — a pure optimization, exactly like batching.
 //!   Packed protocols may additionally override the per-block seam
-//!   ([`BatchedProtocol`]) with a gather/classify/lane *block kernel*;
-//!   [`Packed`] dispatches every block there, and [`ScalarBlock`]
-//!   forces the scalar reference loop for A/B comparison.
+//!   ([`BatchedProtocol`]) with an in-order *block kernel*, and its
+//!   per-chunk twin with a fused one that draws its own pairs;
+//!   [`Packed`] dispatches every chunk and block there, and
+//!   [`ScalarBlock`] forces the scalar reference loop for A/B
+//!   comparison.
 //!
 //! # Components
 //!

@@ -59,15 +59,23 @@ pub trait Probe<P: Protocol> {
     /// monomorphizes away.
     const ACTIVE: bool = true;
 
-    /// A schedule block finished executing. `t` is the engine's
-    /// interaction count *after* the block, `changed` the number of
-    /// state-changing interactions the block reported (0 where the
-    /// execution path does not track it), `shard` the shard index (0 on
-    /// the sequential engine), `start` the global index of `lane[0]`,
-    /// and `lane` the shard's slice of the configuration after the
-    /// block. Event granularity is therefore the block: probes see
-    /// configurations at block boundaries, mirroring the observer
-    /// pipeline's `check_every` overshoot convention.
+    /// A block of the schedule finished executing. On the sequential
+    /// engines a block is one chunk of the block loop
+    /// ([`advance_blocks`](crate::advance_blocks)): at most
+    /// [`BLOCK_PAIRS`](crate::schedule::BLOCK_PAIRS) pairs, one
+    /// [`Protocol::transition_pairs`] call. Pairs already buffered in
+    /// the source when the burst starts run in its first chunk together
+    /// with fresh draws, not as a short block of their own. On the
+    /// sharded engine a block is one shard lane's share of a sharded
+    /// block. `t` is the engine's interaction count *after* the block,
+    /// `changed` the number of state-changing interactions the block
+    /// reported (0 where the execution path does not track it), `shard`
+    /// the shard index (0 on the sequential engine), `start` the global
+    /// index of `lane[0]`, and `lane` the shard's slice of the
+    /// configuration after the block. Event granularity is therefore
+    /// the block: probes see configurations at block boundaries,
+    /// mirroring the observer pipeline's `check_every` overshoot
+    /// convention.
     fn block(
         &mut self,
         protocol: &P,

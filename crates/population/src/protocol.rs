@@ -1,7 +1,7 @@
 use std::fmt::Debug;
 
 use crate::pairs::pair_mut;
-use crate::schedule::Pair;
+use crate::schedule::{for_each_block, Pair, PairSource};
 
 /// A population protocol: a state space and a common transition function
 /// over ordered pairs of agents.
@@ -70,6 +70,41 @@ pub trait Protocol {
             changed += u64::from(self.transition(u, v));
         }
         changed
+    }
+
+    /// Draw the next `count` pairs from `source` and apply them to
+    /// `states` in draw order, returning the number of interactions
+    /// that changed a state (the [`transition_block`] contract). This
+    /// is the engine's per-chunk entry point: the block loop
+    /// ([`advance_blocks`](crate::advance_blocks)) makes one call per
+    /// chunk of at most [`BLOCK_PAIRS`](crate::schedule::BLOCK_PAIRS)
+    /// pairs.
+    ///
+    /// **Contract:** exactly `count` pairs are consumed — no more, no
+    /// fewer — and the result is bit for bit what drawing them with
+    /// [`sample_block`](PairSource::sample_block) and running the
+    /// slices through [`transition_block`] would give: same states, same
+    /// source position, same instrumentation.
+    ///
+    /// The default is exactly that slice loop
+    /// ([`for_each_block`](crate::schedule::for_each_block)), and it
+    /// must stay routed through [`transition_block`]: a wrapper that
+    /// overrides only `transition_block` (a timer, an adversary, the
+    /// [`ScalarBlock`] reference) then still sees every pair. An
+    /// override may instead consume a [`PairSource::draws`] iterator
+    /// and run each pair as it is drawn, skipping the buffer — the
+    /// fused path of `StableRanking`'s kernel, reached through
+    /// [`Packed`] — and must fall back to the slice loop when the
+    /// source declines.
+    ///
+    /// [`transition_block`]: Protocol::transition_block
+    fn transition_pairs<S: PairSource + ?Sized>(
+        &self,
+        states: &mut [Self::State],
+        source: &mut S,
+        count: usize,
+    ) -> u64 {
+        for_each_block(source, count, |pairs| self.transition_block(states, pairs))
     }
 
     /// The silence certificate: return `true` only if *every* ordered
@@ -181,6 +216,21 @@ pub trait BatchedProtocol: PackedProtocol {
         changed
     }
 
+    /// The chunk entry point over packed words — the twin [`Packed`]
+    /// forwards [`Protocol::transition_pairs`] to, with the same
+    /// contract. The default is the slice loop through
+    /// [`transition_block`](BatchedProtocol::transition_block).
+    fn transition_pairs<S: PairSource + ?Sized>(
+        &self,
+        words: &mut [Self::Packed],
+        source: &mut S,
+        count: usize,
+    ) -> u64 {
+        for_each_block(source, count, |pairs| {
+            BatchedProtocol::transition_block(self, words, pairs)
+        })
+    }
+
     /// The silence certificate over packed words — the twin
     /// [`Packed`] forwards [`Protocol::certify_silent`] to, with the
     /// same contract. Never certifies by default.
@@ -241,6 +291,15 @@ impl<P: BatchedProtocol> Protocol for Packed<P> {
         BatchedProtocol::transition_block(&self.0, states, pairs)
     }
 
+    fn transition_pairs<S: PairSource + ?Sized>(
+        &self,
+        states: &mut [Self::State],
+        source: &mut S,
+        count: usize,
+    ) -> u64 {
+        BatchedProtocol::transition_pairs(&self.0, states, source, count)
+    }
+
     fn certify_silent(&self, states: &[Self::State], count: u64) -> bool {
         BatchedProtocol::certify_silent(&self.0, states, count)
     }
@@ -267,10 +326,10 @@ impl<P: Protocol> Protocol for ScalarBlock<P> {
     fn transition(&self, u: &mut Self::State, v: &mut Self::State) -> bool {
         self.0.transition(u, v)
     }
-    // No `transition_block` or `certify_silent` override: blocks run
-    // through the provided scalar split-borrow loop regardless of the
-    // inner protocol, and every pair runs even on a silent
-    // configuration.
+    // No `transition_block`, `transition_pairs` or `certify_silent`
+    // override: chunks take the slice path and blocks run through the
+    // provided scalar split-borrow loop regardless of the inner
+    // protocol, and every pair runs even on a silent configuration.
 }
 
 /// Output map for ranking protocols: the rank an agent currently outputs,

@@ -4,12 +4,20 @@
 //! A pair source owns whatever state it needs (an RNG, a sweep counter)
 //! and produces the ordered pairs `(initiator, responder)` that drive a
 //! simulation. Every source supports two consumption styles over the
-//! *same* pair stream:
+//! *same* pair stream, and the uniform [`Schedule`] (with its per-shard
+//! [`SubSchedule`]) a third:
 //!
 //! * [`PairSource::next_pair`] — draw one pair, for scalar stepping;
 //! * [`PairSource::sample_block`] — pre-sample a block of pairs in one
-//!   tight loop, for the batched hot path
-//!   ([`Simulator::run_batched`](crate::Simulator::run_batched)).
+//!   tight loop into a buffer, for the batched path
+//!   ([`Simulator::run_batched`](crate::Simulator::run_batched));
+//! * [`PairSource::draws`] — a [`Draws`] iterator that yields exactly
+//!   `count` fresh pairs straight from the generator, with no buffer in
+//!   between, for a block kernel that consumes each pair as it is drawn
+//!   (see [`Protocol::transition_pairs`](crate::Protocol::transition_pairs)).
+//!   Offered only while nothing is buffered, so the stream order is
+//!   unchanged; every other source (the adversarial schedulers, the
+//!   graph scheduler) declines it and is read in slices.
 //!
 //! A third operation, [`PairSource::skip`], consumes pairs without
 //! returning them — the pair-stream half of the engine's silent
@@ -24,9 +32,13 @@
 //! order, so a simulation is **bit-for-bit trajectory-equivalent**
 //! whether it is stepped one interaction at a time, run in batches, or
 //! any interleaving of the two. Pre-sampling exists purely to make the
-//! hot path faster: the source's state stays in registers across a whole
-//! block instead of being reloaded per interaction, and the transition
-//! loop that follows runs without the sampler's branches in it.
+//! batched path faster: the source's state stays in registers across a
+//! whole block instead of being reloaded per interaction, and the
+//! transition loop that follows runs without the sampler's branches in
+//! it. [`Draws`] keeps the first of those wins (it owns a register copy
+//! of the generator for the whole run of pairs) and drops the buffer's
+//! store and reload, which on a cheap pair — a null meeting of two
+//! ranked agents — cost more than the pair itself.
 //!
 //! [`Schedule`] is the canonical implementation — the paper's uniform
 //! scheduler. Adversarial sources (biased, clustered/partitioned,
@@ -45,8 +57,13 @@ use crate::jump;
 /// An ordered agent pair, stored compactly for block buffers.
 pub type Pair = (u32, u32);
 
-/// Default number of pairs sampled per block by the batched hot path:
-/// 2¹² pairs = 32 KiB of buffer, sized to stay in L1.
+/// The engine's chunk size: the block loop
+/// ([`advance_blocks`](crate::advance_blocks)) hands the protocol at
+/// most this many pairs per call, and a probe sees one block per chunk.
+/// It is also the kernel's instrumentation flush cadence and the
+/// largest refill of a [`BlockBuffer`] — 2¹² pairs = 32 KiB, sized to
+/// stay in L1. A chunk the uniform scheduler serves through [`Draws`]
+/// is never buffered at all.
 pub const BLOCK_PAIRS: usize = 4096;
 
 /// A producer of ordered interaction pairs `(initiator, responder)`.
@@ -92,6 +109,97 @@ pub trait PairSource {
             let want = remaining.min(BLOCK_PAIRS as u64) as usize;
             remaining -= self.sample_block(want).len() as u64;
         }
+    }
+
+    /// The next `count` pairs of the stream as a [`Draws`] iterator
+    /// that reads the generator directly, or `None` if the source
+    /// cannot serve them that way — then the caller reads them through
+    /// [`sample_block`](PairSource::sample_block) instead.
+    ///
+    /// A `Some` must yield exactly the pairs `sample_block` would have
+    /// returned, and leave the source exactly where consuming them
+    /// would, so the two styles are interchangeable pair for pair. The
+    /// default declines. [`Schedule`] and [`SubSchedule`] serve a run
+    /// whenever nothing is buffered; buffered pairs come first in the
+    /// stream, so they then decline too, and they never draw past
+    /// `count`.
+    fn draws(&mut self, count: usize) -> Option<Draws<'_>> {
+        let _ = count;
+        None
+    }
+}
+
+/// Feed exactly `count` pairs of `source` to `run`, one
+/// [`sample_block`](PairSource::sample_block) slice at a time, and sum
+/// what `run` returns — the slice path of
+/// [`Protocol::transition_pairs`](crate::Protocol::transition_pairs),
+/// taken by its default and by any override whose source declines
+/// [`draws`](PairSource::draws).
+#[inline]
+pub fn for_each_block<S: PairSource + ?Sized>(
+    source: &mut S,
+    count: usize,
+    mut run: impl FnMut(&[Pair]) -> u64,
+) -> u64 {
+    let (mut left, mut total) = (count, 0);
+    while left > 0 {
+        let block = source.sample_block(left);
+        left -= block.len();
+        total += run(block);
+    }
+    total
+}
+
+/// A run of exactly `count` fresh pairs read straight off a
+/// [`Schedule`]'s (or a [`SubSchedule`]'s) generator: the iterator form
+/// of the pair stream, served by [`PairSource::draws`].
+///
+/// The iterator works on a *local copy* of the generator — which the
+/// optimizer keeps in registers across the consumer's loop — and writes
+/// it back when dropped. Each pair goes through the same canonical draw
+/// as the source's `next_pair` and `sample_block`, so the
+/// pairs are those the other styles would produce, and an iterator
+/// dropped early leaves the source right after the last pair it
+/// yielded.
+#[derive(Debug)]
+pub struct Draws<'a> {
+    rng: SmallRng,
+    home: &'a mut SmallRng,
+    n: usize,
+    start: usize,
+    len: usize,
+    left: usize,
+}
+
+impl<'a> Draws<'a> {
+    fn new(home: &'a mut SmallRng, n: usize, (start, len): (usize, usize), count: usize) -> Self {
+        Self {
+            rng: home.clone(),
+            home,
+            n,
+            start,
+            len,
+            left: count,
+        }
+    }
+}
+
+impl Iterator for Draws<'_> {
+    type Item = Pair;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Pair> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(draw_sub_pair(&mut self.rng, self.n, self.start, self.len))
+    }
+}
+
+impl Drop for Draws<'_> {
+    fn drop(&mut self) {
+        self.home.clone_from(&self.rng);
     }
 }
 
@@ -365,6 +473,11 @@ impl PairSource for Schedule {
         let fresh = self.buf.discard(count);
         jump::skip(&mut self.rng, fresh);
     }
+
+    #[inline]
+    fn draws(&mut self, count: usize) -> Option<Draws<'_>> {
+        (self.buf.buffered() == 0).then(|| Draws::new(&mut self.rng, self.n, (0, self.n), count))
+    }
 }
 
 /// Seed stride between sibling [`SubSchedule`]s of one split: shard `s`
@@ -537,6 +650,12 @@ impl PairSource for SubSchedule {
         let fresh = self.buf.discard(count);
         jump::skip(&mut self.rng, fresh);
     }
+
+    #[inline]
+    fn draws(&mut self, count: usize) -> Option<Draws<'_>> {
+        let range = (self.start, self.len);
+        (self.buf.buffered() == 0).then(|| Draws::new(&mut self.rng, self.n, range, count))
+    }
 }
 
 #[cfg(test)]
@@ -592,6 +711,46 @@ mod tests {
             }
         }
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn draws_serve_the_block_stream_and_decline_while_buffered() {
+        let mut reference = Schedule::new(40, 3);
+        let expected: Vec<Pair> = reference.sample_block(600).to_vec();
+
+        // A full run, then a run dropped early: the source resumes right
+        // after the last pair yielded.
+        let mut s = Schedule::new(40, 3);
+        let mut got: Vec<Pair> = s.draws(500).expect("nothing buffered").collect();
+        assert_eq!(got.len(), 500);
+        got.extend(s.draws(100).expect("nothing buffered").take(40));
+        got.extend(s.sample_block(60).to_vec());
+        assert_eq!(got, expected);
+        assert_eq!(s.cursor(), reference.cursor());
+
+        let mut buffered = Schedule::from_cursor(ScheduleCursor {
+            pending: vec![(1, 2)],
+            ..Schedule::new(40, 3).cursor()
+        });
+        assert!(buffered.draws(10).is_none(), "buffered pairs come first");
+    }
+
+    #[test]
+    fn sub_schedule_draws_serve_the_block_stream() {
+        let mut reference = SubSchedule::new(40, 8, 12, 9);
+        let expected: Vec<Pair> = reference.sample_block(700).to_vec();
+        let mut s = SubSchedule::new(40, 8, 12, 9);
+        let mut got: Vec<Pair> = s.draws(300).expect("nothing buffered").collect();
+        got.extend(s.draws(500).expect("nothing buffered").take(100));
+        got.extend(s.sample_block(300).to_vec());
+        assert_eq!(got, expected);
+        assert_eq!(s.cursor(), reference.cursor());
+
+        let mut buffered = SubSchedule::from_cursor(ScheduleCursor {
+            pending: vec![(9, 2)],
+            ..s.cursor()
+        });
+        assert!(buffered.draws(10).is_none(), "buffered pairs come first");
     }
 
     #[test]

@@ -264,22 +264,22 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
     /// Execute exactly `count` interactions through the batched hot
     /// path. Trajectory-equivalent to calling [`step`](Simulator::step)
     /// `count` times (same seed ⇒ same pairs ⇒ same configuration), but
-    /// substantially faster: pairs are pre-sampled in blocks of
-    /// [`BLOCK_PAIRS`], amortizing scheduler overhead, and each block is
-    /// handed whole to
-    /// [`Protocol::transition_block`](Protocol::transition_block). For
-    /// plain protocols that is the copy-free scalar loop (split-borrow
-    /// via [`pair_mut`], no per-pair clones); packed protocols with a
+    /// substantially faster: the run is cut into chunks of at most
+    /// [`BLOCK_PAIRS`] pairs, and each chunk is handed whole to
+    /// [`Protocol::transition_pairs`](Protocol::transition_pairs). For
+    /// plain protocols that pre-samples the chunk and runs the
+    /// copy-free scalar loop over it (split-borrow via [`pair_mut`], no
+    /// per-pair clones); packed protocols with a
     /// [`BatchedProtocol`](crate::BatchedProtocol) kernel (e.g.
-    /// `StableRanking`) execute the block through their
-    /// gather/classify/lane kernel instead — same trajectory bit for
-    /// bit. Null interactions dirty no cache lines on either path
-    /// (kernels skip the write-back of unchanged words); this is why
-    /// the `changed` flag's "no false negatives" contract exists. A
-    /// burst of at least one block over a configuration the protocol
-    /// certifies silent ([`Protocol::certify_silent`]) runs no pair at
-    /// all: the pair stream jumps past it, with the same result bit
-    /// for bit (see [`advance_blocks`]).
+    /// `StableRanking`) run the chunk through their in-order kernel
+    /// instead, drawing each pair straight from the schedule — same
+    /// trajectory bit for bit. Null interactions dirty no cache lines
+    /// on either path (kernels skip the write-back of unchanged words);
+    /// this is why the `changed` flag's "no false negatives" contract
+    /// exists. A burst of at least one block over a configuration the
+    /// protocol certifies silent ([`Protocol::certify_silent`]) runs no
+    /// pair at all: the pair stream jumps past it, with the same result
+    /// bit for bit (see [`advance_blocks`]).
     pub fn run_batched(&mut self, count: u64) {
         self.advance(count, &mut NullProbe);
     }
@@ -498,9 +498,18 @@ impl<P: Protocol, S: PairSource> Engine for Simulator<P, S> {
 /// block loop of every sequential engine ([`Simulator`] and the `dynamic`
 /// crate's population), so its silent fast path exists once.
 ///
-/// **Faithful path.** Pairs are pre-sampled in blocks of at most
-/// [`BLOCK_PAIRS`] and each block goes whole to
-/// [`Protocol::transition_block`]; an active `probe` sees every block.
+/// **Faithful path.** The burst is cut into chunks of at most
+/// [`BLOCK_PAIRS`] pairs and each chunk is one
+/// [`Protocol::transition_pairs`] call, which draws its pairs from
+/// `source` and executes them; an active `probe` sees one block per
+/// chunk. By default a chunk is read as buffered
+/// [`sample_block`](PairSource::sample_block) slices handed to
+/// [`Protocol::transition_block`]. A protocol with a fused kernel
+/// (`StableRanking` through [`Packed`](crate::Packed)) instead runs each
+/// pair as the uniform [`Schedule`] draws it
+/// ([`PairSource::draws`]), with no buffer in between. Both paths
+/// consume the same pairs in the same order, so the trajectory,
+/// the scheduler cursor and every counter are the same either way.
 ///
 /// **Silent fast-forward.** When all three of these hold at entry —
 ///
@@ -541,12 +550,10 @@ pub fn advance_blocks<P, S, B>(
     }
     let mut remaining = count;
     while remaining > 0 {
-        let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-        let block = source.sample_block(want);
-        let changed = protocol.transition_block(states, block);
-        let executed = block.len() as u64;
-        *interactions += executed;
-        remaining -= executed;
+        let chunk = remaining.min(BLOCK_PAIRS as u64);
+        let changed = protocol.transition_pairs(states, source, chunk as usize);
+        *interactions += chunk;
+        remaining -= chunk;
         if B::ACTIVE {
             probe.block(protocol, *interactions, changed, 0, 0, states);
         }

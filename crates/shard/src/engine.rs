@@ -126,7 +126,9 @@ fn quota(total: u64, shards: usize, s: usize, rot: usize) -> u64 {
 }
 
 /// Intra phase for one shard: draw `quota` pairs from the shard's
-/// sub-stream; partition each sampled block into lane-local pairs
+/// sub-stream, at most [`BLOCK_PAIRS`] at a time, and partition them as
+/// they are drawn ([`PairSource::draws`]; buffered slices if the
+/// sub-stream still holds pre-sampled pairs) into lane-local pairs
 /// (executed in draw order with a single
 /// [`Protocol::transition_block`] call, which dispatches to a packed
 /// protocol's block kernel) and boundary pairs (deferred into the
@@ -151,22 +153,34 @@ fn intra_phase<P: Protocol>(
         local,
     } = &mut *guard;
     let (start, len) = (*start, states.len());
+    let mut route = |(i, j): Pair, local: &mut Vec<Pair>| {
+        let lj = (j as usize).wrapping_sub(start);
+        if lj < len {
+            local.push(((i as usize - start) as u32, lj as u32));
+        } else {
+            outbox[owners.owner(j)].push((i, j));
+        }
+    };
     let mut remaining = quota;
     let mut changed = 0;
     while remaining > 0 {
         let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-        let block = sched.sample_block(want);
-        for &(i, j) in block {
-            let lj = (j as usize).wrapping_sub(start);
-            if lj < len {
-                local.push(((i as usize - start) as u32, lj as u32));
-            } else {
-                outbox[owners.owner(j)].push((i, j));
+        let fused = sched
+            .draws(want)
+            .map(|draws| draws.for_each(|pair| route(pair, local)))
+            .is_some();
+        let drawn = if fused {
+            want
+        } else {
+            let block = sched.sample_block(want);
+            for &pair in block {
+                route(pair, local);
             }
-        }
+            block.len()
+        };
         changed += protocol.transition_block(states, local);
         local.clear();
-        remaining -= block.len() as u64;
+        remaining -= drawn as u64;
     }
     changed
 }
@@ -1199,6 +1213,38 @@ mod tests {
             resumed.run(10_000);
             assert_eq!(resumed.states(), reference.states(), "shards={shards}");
             assert_eq!(resumed.interactions(), reference.interactions());
+        }
+    }
+
+    /// A lane whose sub-stream holds buffered pairs reads them as
+    /// slices before it goes back to drawing pairs as it routes them:
+    /// pre-drawing each lane's first `k` pairs into its cursor's
+    /// pending buffer leaves the trajectory unchanged, for `k` inside
+    /// the first block and for `k` spanning a block boundary.
+    #[test]
+    fn lanes_replay_buffered_pairs_before_drawing_fresh_ones() {
+        for k in [100, BLOCK_PAIRS + 904] {
+            let mut reference = ShardedSimulator::new(Mark(24), marks(24), 17, 4);
+            let buffered = reference
+                .cursors()
+                .into_iter()
+                .map(|cursor| {
+                    let mut sched = SubSchedule::from_cursor(cursor);
+                    let mut pending = Vec::new();
+                    while pending.len() < k {
+                        pending.extend_from_slice(sched.sample_block(k - pending.len()));
+                    }
+                    ScheduleCursor {
+                        pending,
+                        ..sched.cursor()
+                    }
+                })
+                .collect();
+            let mut resumed = ShardedSimulator::resume(Mark(24), marks(24), buffered, 0);
+            reference.run(40_000);
+            resumed.run(40_000);
+            assert_eq!(resumed.states(), reference.states(), "k={k}");
+            assert_eq!(resumed.cursors(), reference.cursors(), "k={k}");
         }
     }
 

@@ -501,3 +501,262 @@ proptest! {
         assert_kernel_equivalent(n, config_seed, seed, total, chunk);
     }
 }
+
+// ---------------------------------------------------------------------
+// Fused ≡ slice: on the uniform `Schedule`, `Packed<StableRanking>`
+// runs each chunk through the kernel as the pairs are drawn
+// (`PairSource::draws`); on any other source the same kernel reads
+// buffered `sample_block` slices. `Sliced` is such a source — the
+// uniform stream behind a wrapper that forwards only the required
+// methods — so the two paths and the scalar reference must be
+// trajectory twins down to every counter and every probe block.
+
+use rand::rngs::SmallRng;
+use rand::{RngExt, SeedableRng};
+use silent_ranking::population::schedule::BLOCK_PAIRS;
+use silent_ranking::population::{
+    drive, CursorSource, FaultState, Frame, MemoryCheckpointer, NoPoll, PairSource, Probe,
+    Protocol, Schedule, ScheduleCursor,
+};
+use silent_ranking::scenarios::FiredFault;
+
+/// The uniform stream with the fused path hidden: `draws` keeps its
+/// declining default, so every chunk takes the slice path.
+struct Sliced(Schedule);
+
+impl PairSource for Sliced {
+    fn n(&self) -> usize {
+        self.0.n()
+    }
+
+    fn next_pair(&mut self) -> (usize, usize) {
+        self.0.next_pair()
+    }
+
+    fn sample_block(&mut self, max: usize) -> &[Pair] {
+        self.0.sample_block(max)
+    }
+}
+
+impl CursorSource for Sliced {
+    fn cursor(&self) -> ScheduleCursor {
+        self.0.cursor()
+    }
+
+    fn from_cursor(cursor: ScheduleCursor) -> Self {
+        Sliced(Schedule::from_cursor(cursor))
+    }
+}
+
+/// An active probe recording `(t, changed)` for every block.
+#[derive(Default)]
+struct ChangedLog(Vec<(u64, u64)>);
+
+impl<P: Protocol> Probe<P> for ChangedLog {
+    fn block(&mut self, _: &P, t: u64, changed: u64, _: usize, _: usize, _: &[P::State]) {
+        self.0.push((t, changed));
+    }
+}
+
+/// A schedule for `n` agents whose first `buffered` pairs sit in its
+/// block buffer, as after a restore mid-block: the stream is that of
+/// `Schedule::new(n, seed)`, but the first chunks start buffered.
+fn buffered_schedule(n: usize, seed: u64, buffered: usize) -> Schedule {
+    let mut s = Schedule::new(n, seed);
+    let mut pending = Vec::with_capacity(buffered);
+    while pending.len() < buffered {
+        pending.extend_from_slice(s.sample_block(buffered - pending.len()));
+    }
+    Schedule::from_cursor(ScheduleCursor {
+        pending,
+        ..s.cursor()
+    })
+}
+
+/// One step of a random run: scalar steps, then a burst, probed or not.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    steps: u64,
+    burst: u64,
+    probed: bool,
+}
+
+fn random_ops(seed: u64) -> Vec<Op> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let b = BLOCK_PAIRS as u64;
+    (0..rng.random_range(1..8usize))
+        .map(|_| Op {
+            steps: [0, 0, 1, rng.random_range(2..300u64)][rng.random_range(0..4usize)],
+            burst: [1, b - 1, b, b + 1, rng.random_range(1..3 * b)][rng.random_range(0..5usize)],
+            probed: rng.random_range(0..2u32) == 0,
+        })
+        .collect()
+}
+
+/// Play `ops` on `sim`; returns the active probe's block log.
+fn play<P: Protocol, S: PairSource>(sim: &mut Simulator<P, S>, ops: &[Op]) -> Vec<(u64, u64)> {
+    let mut log = ChangedLog::default();
+    for op in ops {
+        for _ in 0..op.steps {
+            sim.step();
+        }
+        if op.probed {
+            sim.run_probed(op.burst, &mut log);
+        } else {
+            sim.run_batched(op.burst);
+        }
+    }
+    log.0
+}
+
+const FUSED_SIZES: [usize; 6] = [2, 3, 4, 17, 64, 512];
+
+fn assert_fused_equals_sliced(n: usize, config_seed: u64, seed: u64, buffered: usize, ops: &[Op]) {
+    let make = || {
+        let p = Packed(protocol(n));
+        let init = p.pack_all(&p.inner().adversarial_uniform(config_seed));
+        (p, init)
+    };
+    let (p, init) = make();
+    let mut fused = Simulator::with_source(p, init, buffered_schedule(n, seed, buffered));
+    let fused_log = play(&mut fused, ops);
+
+    let (p, init) = make();
+    let mut sliced = Simulator::with_source(p, init, Sliced(buffered_schedule(n, seed, buffered)));
+    let sliced_log = play(&mut sliced, ops);
+
+    let (p, init) = make();
+    let mut scalar =
+        Simulator::with_source(ScalarBlock(p), init, buffered_schedule(n, seed, buffered));
+    let scalar_log = play(&mut scalar, ops);
+
+    let ctx = format!("n={n} config_seed={config_seed} seed={seed} buffered={buffered} {ops:?}");
+    assert_eq!(fused.states(), sliced.states(), "{ctx}");
+    assert_eq!(fused.states(), scalar.states(), "{ctx}");
+    assert_eq!(fused.interactions(), sliced.interactions(), "{ctx}");
+    assert_eq!(fused.interactions(), scalar.interactions(), "{ctx}");
+    assert_eq!(fused.source().cursor(), sliced.source().cursor(), "{ctx}");
+    assert_eq!(fused.source().cursor(), scalar.source().cursor(), "{ctx}");
+    assert_eq!(fused_log, sliced_log, "{ctx}: probe blocks");
+    assert_eq!(fused_log, scalar_log, "{ctx}: probe blocks");
+    let (f, s) = (fused.protocol().inner(), sliced.protocol().inner());
+    assert_eq!(f.dispatch_mix(), s.dispatch_mix(), "{ctx}");
+    assert_eq!(f.silent_skipped(), s.silent_skipped(), "{ctx}");
+    assert_eq!(f.resets_triggered(), s.resets_triggered(), "{ctx}");
+    assert_eq!(
+        f.resets_triggered(),
+        scalar.protocol().0.inner().resets_triggered(),
+        "{ctx}"
+    );
+}
+
+#[test]
+fn fused_equals_sliced_on_every_size_and_burst_edge() {
+    let b = BLOCK_PAIRS as u64;
+    let edges: Vec<Op> = [1, b - 1, b, b + 1, 3 * b + 7]
+        .into_iter()
+        .map(|burst| Op {
+            steps: 3,
+            burst,
+            probed: true,
+        })
+        .collect();
+    for n in FUSED_SIZES {
+        for buffered in [0, 1, BLOCK_PAIRS - 1, BLOCK_PAIRS + 5] {
+            assert_fused_equals_sliced(n, 3, 7, buffered, &edges);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// Random sizes, bursts (block edges included), interleaved scalar
+    /// steps, probed and unprobed bursts, and buffered entry.
+    #[test]
+    fn fused_equals_sliced_for_random_runs(
+        size in 0usize..6,
+        config_seed in 0u64..10_000,
+        seed in 0u64..10_000,
+        buffered in 0usize..2 * BLOCK_PAIRS,
+        ops_seed in 0u64..10_000,
+    ) {
+        let ops = random_ops(ops_seed);
+        assert_fused_equals_sliced(FUSED_SIZES[size], config_seed, seed, buffered, &ops);
+    }
+}
+
+/// Where a faulted, checkpointed, probed `drive` run ends, and what it
+/// saw on the way.
+#[derive(Debug, PartialEq)]
+struct DriveEnd {
+    words: Vec<PackedState>,
+    cursor: ScheduleCursor,
+    mix: [u64; 4],
+    resets: u64,
+    saved: Vec<(Frame, Option<FaultState>)>,
+    blocks: Vec<(u64, u64)>,
+    fired: Vec<FiredFault>,
+}
+
+/// Drive `Packed<StableRanking>` at `n` from an adversarial start over
+/// `source` for `total` interactions, with periodic `corrupt` faults,
+/// a `MemoryCheckpointer` and an active probe.
+fn drive_end<S: CursorSource>(
+    n: usize,
+    seed: u64,
+    every: u64,
+    save_every: u64,
+    total: u64,
+    source: S,
+) -> DriveEnd {
+    let p = Packed(protocol(n));
+    let init = p.pack_all(&p.inner().adversarial_uniform(seed));
+    let mut hook = UnpackedHook::new(FaultPlan::new(seed).periodic(
+        every,
+        every,
+        ranking_faults::corrupt(p.inner(), n / 2),
+    ));
+    let mut saves = MemoryCheckpointer::every(save_every);
+    let mut log = ChangedLog::default();
+    let mut sim = Simulator::with_source(p, init, source);
+    drive(&mut sim, total, &mut hook, &mut saves, NoPoll, &mut log);
+    let kernel = sim.protocol().inner();
+    DriveEnd {
+        words: sim.states().to_vec(),
+        cursor: sim.source().cursor(),
+        mix: kernel.dispatch_mix(),
+        resets: kernel.resets_triggered(),
+        saved: saves.saved,
+        blocks: log.0,
+        fired: hook.inner().fired().to_vec(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    /// `drive` with periodic `corrupt` faults, a `MemoryCheckpointer`
+    /// and an active probe: the fused and slice paths save the same
+    /// frames (cursors included), report the same blocks and end at
+    /// the same words and counters.
+    #[test]
+    fn fused_equals_sliced_through_drive_with_faults_and_saves(
+        size in 0usize..6,
+        seed in 0u64..10_000,
+        every in 500u64..9000,
+        save_every in 1000u64..9000,
+    ) {
+        let n = FUSED_SIZES[size];
+        let total = 60_000u64;
+        let fused = drive_end(n, seed, every, save_every, total, Schedule::new(n, seed));
+        let sliced = drive_end(n, seed, every, save_every, total, Sliced(Schedule::new(n, seed)));
+        prop_assert_eq!(fused.blocks.last().map(|&(t, _)| t), Some(total));
+        prop_assert_eq!(fused.saved.len() as u64, total / save_every);
+        prop_assert!(!fused.fired.is_empty());
+        if n > 2 {
+            prop_assert_eq!(fused.mix.iter().sum::<u64>(), total);
+        }
+        prop_assert_eq!(fused, sliced);
+    }
+}
