@@ -11,12 +11,14 @@
 //!   (transition-bound: the protocol dominates);
 //! * `StableRanking` over the packed single-word representation with
 //!   the scalar (pair-at-a-time) block loop
-//!   (`ScalarBlock<Packed<StableRanking>>`): flat `u64` storage,
-//!   table-driven transitions;
+//!   (`ScalarBlock<Packed<StableRanking>>`): flat `u64` storage, and
+//!   every pair through `transition_packed` — the kernel's own per-pair
+//!   body, without the null-first exit or the per-chunk flush;
 //! * `StableRanking` through its block transition kernel
 //!   (`Packed<StableRanking>`, see `ranking::stable::kernel`): whole
-//!   schedule blocks walked in one in-order pass with branchless
-//!   classification and per-class branchless cores. The kernel rows
+//!   schedule blocks walked in one in-order pass — the null-first exit,
+//!   then the same per-pair body, with the counters flushed once per
+//!   chunk. The kernel rows
 //!   also record the *dispatch mix* — the fraction of interactions
 //!   each transition class executed — so a throughput shift can be
 //!   attributed to a workload shift vs a kernel change;
@@ -60,7 +62,9 @@
 //! and, at `n ≥ 10⁴`, that the kernel is at least `kernel_floor=`
 //! (default 0.7) times the scalar packed path on the transient
 //! workload, at least `silent_floor=` (default 1.05) times it on
-//! the converged workload, that the best paired fused/slices ratio on
+//! the converged workload (the two rows run the same per-pair body, so
+//! these two floors measure exactly the kernel's null-first exit and
+//! per-chunk flush), that the best paired fused/slices ratio on
 //! the converged workload reaches `FUSED_FLOOR` (1.05, fixed), that the
 //! best paired null-probe ratio reaches `probe_floor=` (default 0.95),
 //! and that the fast-forward row ends bit-identical (words and

@@ -15,6 +15,7 @@
 //!   `observed ⊆ analytic` and experiments can report real usage.
 
 use std::collections::HashSet;
+use std::ops::RangeInclusive;
 
 use leader_election::fast::FastLeState;
 
@@ -122,6 +123,35 @@ pub fn enumerate_states(params: &Params) -> Vec<StableState> {
         }
     }
     states
+}
+
+/// The population sizes in `sizes` at which the shape of [`Params`]
+/// steps — phase count, `L_max`, `R_max`, `D_max`, `waitMax` or
+/// `⌈log₂ n⌉` — given as the first and last size of every distinct
+/// shape, so an exhaustive check that cannot afford every `n` still
+/// meets every state-space geometry on both sides of each step.
+pub fn shape_sizes(sizes: RangeInclusive<usize>) -> Vec<usize> {
+    let shape = |n: usize| {
+        let p = Params::new(n);
+        (
+            p.fseq().kmax(),
+            p.l_max(),
+            p.r_max(),
+            p.d_max(),
+            p.wait_max(),
+            p.coin_target(),
+        )
+    };
+    let (first, last) = (*sizes.start(), *sizes.end());
+    let mut out = vec![first];
+    for n in first + 1..=last {
+        if shape(n) != shape(n - 1) {
+            out.extend([n - 1, n]);
+        }
+    }
+    out.push(last);
+    out.dedup();
+    out
 }
 
 /// Verdict of a post-restore configuration audit: where a restored run

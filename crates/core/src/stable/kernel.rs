@@ -1,117 +1,90 @@
-//! The block transition kernel: `StableRanking`'s implementation of the
-//! [`BatchedProtocol`] seam.
+//! The packed form of Protocol 3 and the block kernel that runs it:
+//! `StableRanking`'s implementation of [`PackedProtocol`].
 //!
-//! The scalar packed path (`transition_packed`) already replaced enum
-//! walks with tag tests and table lookups, but per pair it still pays
-//! the `FastLe::step_bits` field unpack / effect-enum round trip, a
-//! full `ranking_plus_step_packed` call on every main/main meeting —
-//! including the null meetings a converged population consists of —
-//! and an atomic RMW per instrumented event. The kernel processes a
-//! whole chunk of pairs in one in-order pass with those costs
-//! restructured away:
+//! The dispatcher over packed words is written once, as the per-pair
+//! body `step_pair`. It follows the enum reference
+//! [`transition`](population::Protocol::transition) branch for branch —
+//! reset, both-electing, one-electing, Ranking⁺, then the responder's
+//! coin toggle — but every role test is a one-hot tag mask, every
+//! threshold a [`StepTables`] entry, and every "forget everything"
+//! rebirth (lottery winner, phase-1 joiner, triggered agent) a
+//! precomposed word OR-ed with the surviving coin bit. Two callers run
+//! it:
 //!
 //! ```text
-//!  chunk (≤ 4096 pairs): drawn one at a time off the Schedule's RNG
-//!        │  (fused, transition_pairs) or read from a sample_block slice
-//!        │  (transition_block) — one pass body, inlined into both
-//!        ▼
-//!  load both words by value
-//!        ├─ null first: (u|v) & TAG_MASK == 0 && u != v
-//!        │    two distinct ranked agents → next pair (no borrow, no
-//!        │    classification, no counter, no store)
-//!        ▼
-//!  classify: branchless one-hot mask tests over the two loaded words
-//!        │    reset: (u|v) & TAG_RESET       both-elect: u & v & TAG_ELECT
-//!        │    one-elect: (u|v) & TAG_ELECT   main/main: otherwise
-//!        ▼
-//!  dispatch (same skewed branch chain as the scalar dispatcher)
+//!  transition_packed: one pair          kernel_pass: a chunk of ≤ 4096 pairs,
+//!        │                               │  drawn one at a time off the Schedule's
+//!        │                               │  RNG (fused, transition_pairs) or read
+//!        │                               │  from a sample_block slice
+//!        │                               ▼  (transition_block)
+//!        │                         null first: (u|v) & TAG_MASK == 0 && u != v
+//!        │                               │  → next pair: no borrow, no store
+//!        ▼                               ▼
+//!  step_pair: classify the two words by their tag masks
 //!        ├─ reset-involved → propagate_step_packed
-//!        ├─ both-electing  → branchless lottery word step
+//!        ├─ both-electing  → elect_step_word (n = 2: the initiator wins)
 //!        ├─ one-electing   → mask-selected join_phase1 rebirth
-//!        └─ main/main      → ranking_plus (unranked, or a duplicate rank)
-//!        ▼  shared tail: branchless coin toggle + changed compare
-//!  words (flat SoA Vec<PackedState>)
-//!        ▼  flush: resets and the three counted classes; main/main =
+//!        └─ main/main      → ranking_plus_step_packed
+//!        ▼  tail: branchless responder coin toggle
+//!  Tally: resets and the three counted classes, in locals
+//!        ├─ transition_packed: count a fired reset, drop the classes
+//!        └─ kernel_pass: flush once per chunk; main/main =
 //!           pairs − (reset + both-elect + one-elect)
 //! ```
 //!
-//! Because the pass executes pairs in draw order, it is bit-for-bit the
-//! scalar packed loop by construction: repeated agents inside a block
-//! need no special handling — a pair reads whatever the previous pair
-//! wrote, exactly as the scalar loop does. (An earlier revision of this
-//! kernel instead split blocks into hazard-free segments with an
-//! occupancy bitset and ran per-class stashed lanes, so each class body
-//! became a tight homogeneous loop. Measured on the `engine_throughput`
-//! workload it *lost* to the scalar packed loop by ~2× — the per-pair
-//! bookkeeping (six bitset updates, a 24-byte stash write + read) and
-//! the short expected segment length (≈ √(πn/8) pairs before the first
-//! repeated agent, ~63 at `n = 10⁴`) cost more than the removed
-//! dispatch branches, while the reset and Ranking⁺ lanes still ran the
-//! same helper bodies as the scalar path. The in-order form keeps every
-//! per-class win and pays none of the segmentation tax.)
-//!
-//! The per-class wins over `transition_packed`:
+//! What the kernel adds around the body:
 //!
 //! * **null first**: two distinct ranked agents are a null pair —
 //!   detected with one mask test on the two words loaded by value,
-//!   before the split borrow, the class chain or any counter: no
-//!   store, no coin to toggle. A converged population takes this exit
-//!   on essentially every interaction, and so does most of a
-//!   stabilization run: at `n = 512` the last few unranked agents take
-//!   the bulk of the Theorem 2 time, and ~93% of all pairs meet two
-//!   ranked agents. The main/main counter is therefore not bumped per
-//!   pair; every pair is in exactly one class, so the flush derives it
-//!   as the chunk's pair count minus the three counted classes. A
-//!   ranked×ranked *duplicate* (two agents holding one rank) is not
-//!   null: it falls through to Ranking⁺, which resolves it.
+//!   before the split borrow, the class chain or any counter. A
+//!   converged population takes this exit on essentially every
+//!   interaction, and so does most of a stabilization run: at
+//!   `n = 512` the last few unranked agents take the bulk of the
+//!   Theorem 2 time, and ~93% of all pairs meet two ranked agents. The
+//!   main/main counter is therefore not bumped per pair; every pair is
+//!   in exactly one class, so the flush derives it as the chunk's pair
+//!   count minus the three counted classes. A ranked×ranked *duplicate*
+//!   (two agents holding one rank) is not null: it falls through to
+//!   Ranking⁺, which resolves it. `transition_packed` has no such exit:
+//!   a null pair runs through Ranking⁺, which leaves it unchanged, so
+//!   `ScalarBlock(Packed(..))` measures the body without the exit.
 //! * **fused draw**: on the uniform `Schedule` the engine's chunk
 //!   reaches the kernel through
-//!   [`transition_pairs`](BatchedProtocol::transition_pairs), which
+//!   [`transition_pairs`](PackedProtocol::transition_pairs), which
 //!   takes the pairs as a [`Draws`](population::schedule::Draws)
 //!   iterator: each pair is drawn into registers and consumed at once,
 //!   never stored to or reloaded from the 32 KiB block buffer. On a
 //!   null pair the buffer round trip cost more than the pair: the
 //!   `fused_overhead` block of `BENCH_engine.json` records the fused
 //!   loop at 1.4–2.2× its own slice loop on the silent workload (best
-//!   interleaved pair). Sources that decline `draws` (and `n = 2`)
-//!   keep the slice path, and so do the sharded lanes, which hand the
-//!   kernel their lane-local pairs as a slice.
-//! * **both-electing**: the embedded Protocol 5 lottery runs as
-//!   straight-line mask arithmetic directly on the packed word
-//!   (`elect_step_word`) — no field unpack, no effect enum — with
-//!   real branches only for the two rare effects (leader rebirth,
-//!   timeout reset).
-//! * **everywhere**: the responder coin toggle is a branchless
-//!   mask-multiply, the changed flag is a non-shortcircuit compare, and
-//!   reset-event / dispatch-mix instrumentation is accumulated in
-//!   locals and flushed with one relaxed `fetch_add` per counter per
-//!   chunk (the scalar dispatcher pays one per event). The mix feeds
+//!   interleaved pair). Sources that decline `draws` keep the slice
+//!   path, and so do the sharded lanes, which hand the kernel their
+//!   lane-local pairs as a slice.
+//! * **per-chunk flush**: the reset and dispatch-mix counts are
+//!   accumulated in locals and flushed with one relaxed `fetch_add`
+//!   per counter per chunk. The mix feeds
 //!   [`StableRanking::dispatch_mix`] so `engine_throughput` can
 //!   attribute a kernel regression to a workload shift.
 //!
-//! On the churn-heavy transient from a clean start (the non-`silent`
-//! bench rows) the kernel measures within ~10–20% of the scalar loop
-//! either way: those interactions are dominated by the branchy
-//! propagate / Ranking⁺ helper bodies both paths share, and paired A/B
-//! runs show that even a bit-identical copy of the scalar loop reached
-//! through the kernel's call route measures ~0.9× on the benchmark
-//! host, so much of the residual is codegen/layout noise rather than
-//! algorithmic cost.
+//! On every pair that is not null the kernel and `transition_packed`
+//! execute the same body, so the `engine_throughput` kernel/scalar
+//! rows measure exactly the null exit and the per-chunk flush.
 //!
-//! Equivalence with the scalar packed loop — and, through it, with the
-//! structured enum path — is property-tested in
-//! `tests/packed_equivalence.rs` (random runs, block boundaries,
-//! repeated-agent blocks, faulted and sharded runs, and the fused path
-//! against the slice path on a source that declines `draws`).
+//! The body is proven equal to the enum reference on every ordered pair
+//! of the full state space, for every `Params` shape up to `n = 64`, by
+//! `crates/core/tests/single_pair_differential.rs`; the trajectory
+//! suites in `tests/packed_equivalence.rs` cover random runs, block
+//! boundaries, repeated-agent blocks, faulted and sharded runs, and the
+//! fused path against the slice path on a source that declines `draws`.
 
 use population::schedule::{for_each_block, Pair};
-use population::{pair_mut, BatchedProtocol, PackedProtocol, PairSource};
+use population::{pair_mut, PackedProtocol, PairSource};
 
 use crate::stable::packed::{PackedState, A_SHIFT, COIN_BIT, TAG_ELECT, TAG_MASK, TAG_RESET};
 use crate::stable::ranking_plus::ranking_plus_step_packed;
 use crate::stable::reset;
 use crate::stable::tables::StepTables;
-use crate::stable::StableRanking;
+use crate::stable::{StableRanking, StableState};
 
 /// `LECount` position inside an elect word (16 bits).
 const LE_SHIFT: u32 = A_SHIFT;
@@ -128,9 +101,8 @@ const FIELD_MASK: u64 = 0xFFFF;
 /// Protocol 5 lottery update of `FastLe::step` with the branches
 /// replaced by mask selects, operating directly on the packed word.
 /// Returns the initiator's new word and whether a timeout reset was
-/// triggered. Must match `FastLe::step_bits` through the word layout
-/// exactly (pinned by a unit test below and by the trajectory
-/// equivalence suite).
+/// triggered. Must match `FastLe::step` through the word layout exactly
+/// (pinned by a unit test below and by the single-pair differential).
 #[inline(always)]
 fn elect_step_word(t: &StepTables, half: u64, u: u64, v: u64) -> (u64, bool) {
     // Line 1: LECount ← LECount − 1 (saturating).
@@ -160,12 +132,91 @@ fn elect_step_word(t: &StepTables, half: u64, u: u64, v: u64) -> (u64, bool) {
     (w, false)
 }
 
+/// The loop-invariant inputs of [`step_pair`], built once per call —
+/// per chunk in the kernel.
+#[derive(Clone, Copy)]
+struct Hoisted<'a> {
+    t: &'a StepTables,
+    /// `L_max / 2`: a lottery winner below it keeps electing.
+    half: u64,
+    /// The phase-1 joiner word, coin bit clear.
+    join: u64,
+    /// `n = 2`: the both-electing arm elects deterministically.
+    two: bool,
+}
+
+/// What [`step_pair`] counts: triggered resets, and the reset,
+/// both-elect and one-elect class hits (main/main is what they leave
+/// over).
+#[derive(Default)]
+struct Tally {
+    resets: u64,
+    mix: [u64; 3],
+}
+
+/// Protocol 3 on two packed words, in place: the one packed form of
+/// the dispatcher, shared by `transition_packed` and the kernel.
+#[inline(always)]
+fn step_pair(h: Hoisted<'_>, u: &mut PackedState, v: &mut PackedState, tally: &mut Tally) {
+    let (pu, pv) = (u.0, v.0);
+    // One-hot classification — each test is a single fused mask op —
+    // feeding a skewed branch chain (which the predictor tracks far
+    // better than a computed jump: a `match` on the arithmetic class
+    // index measured ~5% slower on the same workload).
+    let or = pu | pv;
+    if or & TAG_RESET != 0 {
+        // Line 1: propagate resets / wake dormant agents.
+        tally.mix[0] += 1;
+        reset::propagate_step_packed(h.t, u, v);
+    } else if pu & pv & TAG_ELECT != 0 {
+        // Lines 2–3: both electing — the initiator's lottery step.
+        tally.mix[1] += 1;
+        if h.two {
+            // The lottery cannot be won against a single alternating
+            // coin (see `transition`), so at n = 2 the initiator of the
+            // first elect–elect meeting becomes the waiting leader.
+            u.0 = h.t.leader_wait.bits() | (pu & COIN_BIT);
+        } else {
+            let (nu, reset_triggered) = elect_step_word(h.t, h.half, pu, pv);
+            tally.resets += u64::from(reset_triggered);
+            u.0 = nu;
+        }
+    } else if or & TAG_ELECT != 0 {
+        // Lines 4–6: exactly one electing — it joins as a phase-1
+        // agent keeping only its coin, mask-selected so the
+        // initiator/responder distinction costs no branch.
+        tally.mix[2] += 1;
+        let ue = pu & TAG_ELECT != 0;
+        u.0 = if ue { h.join | (pu & COIN_BIT) } else { pu };
+        v.0 = if ue { pv } else { h.join | (pv & COIN_BIT) };
+    } else {
+        // Lines 7–8: both in main states — Ranking⁺.
+        let out = ranking_plus_step_packed(h.t, u, v);
+        tally.resets += u64::from(out.reset_triggered);
+    }
+    // Lines 9–10: the responder's coin toggles if it has one (unranked
+    // ⇔ some tag bit set), as a branchless mask-multiply.
+    v.0 ^= COIN_BIT * u64::from(v.0 & TAG_MASK != 0);
+}
+
 impl StableRanking {
-    /// The kernel body: one in-order pass over `total` pairs, whichever
-    /// way they arrive — a buffered slice or a
+    #[inline(always)]
+    fn hoisted(&self) -> Hoisted<'_> {
+        Hoisted {
+            t: &self.tables,
+            half: u64::from(self.fast.l_max / 2),
+            join: self.tables.join_phase1.bits(),
+            two: self.params.n() == 2,
+        }
+    }
+
+    /// The kernel: one in-order pass over `total` pairs, whichever way
+    /// they arrive — a buffered slice or a
     /// [`Draws`](population::schedule::Draws) run straight off the
     /// generator. Inlined into both callers so each gets its own loop
-    /// with the pair source's state in registers.
+    /// with the pair source's state in registers. Pairs run in draw
+    /// order, so a repeated agent reads whatever the previous pair
+    /// wrote, exactly as the scalar loop does.
     #[inline(always)]
     fn kernel_pass(
         &self,
@@ -173,85 +224,37 @@ impl StableRanking {
         pairs: impl Iterator<Item = Pair>,
         total: u64,
     ) -> u64 {
-        let t = &self.tables;
-        let half = u64::from(self.fast.l_max / 2);
-        let join = t.join_phase1.bits();
+        let h = self.hoisted();
         let mut changed = 0u64;
-        let mut resets = 0u64;
-        // Reset, both-elect and one-elect hits; main/main is derived at
-        // the flush.
-        let mut mix = [0u64; 3];
+        let mut tally = Tally::default();
 
         for (i, j) in pairs {
             let (i, j) = (i as usize, j as usize);
             let (pu, pv) = (words[i].0, words[j].0);
             // Null first: two distinct ranked words (no tag bit set)
             // meet without a state change, no coin to toggle, no store.
-            // Once ranking stabilizes almost every pair leaves here,
-            // before any borrow or classification.
             if (pu | pv) & TAG_MASK == 0 && pu != pv {
                 continue;
             }
             let (u, v) = pair_mut(words, i, j);
-
-            // One-hot classification over the two loaded words — each
-            // test is a single fused mask op — feeding the same skewed
-            // branch chain as the scalar dispatcher (which the
-            // predictor tracks far better than a computed jump: a
-            // `match` on the arithmetic class index measured ~5%
-            // slower on the same workload). Only the class-specific
-            // core lives in each arm; the responder coin toggle and
-            // the changed compare are one shared tail, so the loop
-            // body stays compact.
-            let or = pu | pv;
-            if or & TAG_RESET != 0 {
-                // Reset-involved: Protocol 3 line 1.
-                mix[0] += 1;
-                reset::propagate_step_packed(t, u, v);
-            } else if pu & pv & TAG_ELECT != 0 {
-                // Both electing: the branchless lottery word step, no
-                // field unpack / effect-enum round trip.
-                mix[1] += 1;
-                let (nu, reset_triggered) = elect_step_word(t, half, pu, pv);
-                resets += u64::from(reset_triggered);
-                u.0 = nu;
-            } else if or & TAG_ELECT != 0 {
-                // Exactly one electing: precomposed phase-1 rebirth
-                // for the electing side (Protocol 3 lines 4–6),
-                // mask-selected so the initiator/responder distinction
-                // costs no branch.
-                mix[2] += 1;
-                let ue = pu & TAG_ELECT != 0;
-                u.0 = if ue { join | (pu & COIN_BIT) } else { pu };
-                v.0 = if ue { pv } else { join | (pv & COIN_BIT) };
-            } else {
-                // Both in main states and not a null pair: full
-                // Ranking⁺ (an unranked agent, or two agents holding
-                // the same rank).
-                let out = ranking_plus_step_packed(t, u, v);
-                resets += u64::from(out.reset_triggered);
-            }
-            // Shared tail, Protocol 3 lines 9–10: the responder coin
-            // toggles if it has one (unranked ⇔ some tag bit set) — a
-            // branchless mask-multiply — and the changed flag is a
-            // non-shortcircuit compare against the loaded words.
-            v.0 ^= COIN_BIT * u64::from(v.0 & TAG_MASK != 0);
+            step_pair(h, u, v, &mut tally);
+            // A non-shortcircuit compare against the loaded words.
             changed += u64::from((u.0 != pu) | (v.0 != pv));
         }
 
-        // Flush the locally accumulated instrumentation to the metrics
-        // registry: one relaxed RMW per counter per call instead of one
-        // per event. Every pair is in exactly one class, so main/main —
-        // null exits included — is what the other three leave over.
-        if resets > 0 {
-            self.metrics.resets.add(resets);
+        // Flush to the metrics registry: one relaxed RMW per counter per
+        // call instead of one per event. Every pair is in exactly one
+        // class, so main/main — null exits included — is what the other
+        // three leave over.
+        if tally.resets > 0 {
+            self.metrics.resets.add(tally.resets);
         }
-        let main = total - mix.iter().sum::<u64>();
+        let main = total - tally.mix.iter().sum::<u64>();
         for (hits, count) in self
             .metrics
             .classes
             .iter()
-            .zip(mix.into_iter().chain([main]))
+            .zip(tally.mix.into_iter().chain([main]))
         {
             if count > 0 {
                 hits.add(count);
@@ -261,27 +264,39 @@ impl StableRanking {
     }
 }
 
-impl BatchedProtocol for StableRanking {
-    fn transition_block(&self, words: &mut [PackedState], pairs: &[Pair]) -> u64 {
-        // n = 2 routes through the deterministic-election special case
-        // inside `transition_packed`, which reads `params.n()`; keep it
-        // on the scalar loop rather than teaching the kernel a case the
-        // schedule only produces for a two-agent population.
-        if self.params.n() == 2 {
-            let mut changed = 0;
-            for &(i, j) in pairs {
-                let (u, v) = pair_mut(words, i as usize, j as usize);
-                changed += u64::from(self.transition_packed(u, v));
-            }
-            return changed;
+impl PackedProtocol for StableRanking {
+    type Packed = PackedState;
+
+    fn pack(&self, state: &StableState) -> PackedState {
+        PackedState::pack(state)
+    }
+
+    fn unpack(&self, word: PackedState) -> StableState {
+        word.unpack()
+    }
+
+    /// One pair through the shared body, without the kernel's null
+    /// exit or its per-chunk flush: a fired reset is counted at once
+    /// and the dispatch class is not counted.
+    #[inline]
+    fn transition_packed(&self, u: &mut PackedState, v: &mut PackedState) -> bool {
+        let before = (*u, *v);
+        let mut tally = Tally::default();
+        step_pair(self.hoisted(), u, v, &mut tally);
+        if tally.resets > 0 {
+            self.count_reset();
         }
+        (*u, *v) != before
+    }
+
+    fn transition_block(&self, words: &mut [PackedState], pairs: &[Pair]) -> u64 {
         self.kernel_pass(words, pairs.iter().copied(), pairs.len() as u64)
     }
 
     /// The fused path: when the source serves the chunk as a
     /// [`Draws`](population::schedule::Draws) run, the kernel consumes
     /// each pair as it is drawn and the pair never touches a buffer.
-    /// A source that declines (or `n = 2`) takes the slice path through
+    /// A source that declines takes the slice path through
     /// [`transition_block`](Self::transition_block).
     fn transition_pairs<S: PairSource + ?Sized>(
         &self,
@@ -289,30 +304,22 @@ impl BatchedProtocol for StableRanking {
         source: &mut S,
         count: usize,
     ) -> u64 {
-        if self.params.n() != 2 {
-            if let Some(draws) = source.draws(count) {
-                return self.kernel_pass(words, draws, count as u64);
-            }
+        if let Some(draws) = source.draws(count) {
+            return self.kernel_pass(words, draws, count as u64);
         }
         for_each_block(source, count, |pairs| {
-            BatchedProtocol::transition_block(self, words, pairs)
+            PackedProtocol::transition_block(self, words, pairs)
         })
     }
 
     /// The silence certificate, one O(n) pass: every word is a ranked
     /// word (tag and coin bits clear) holding a rank in `1..=n`, and no
     /// rank repeats (a bitmap over `1..=n`). Then every ordered pair is
-    /// two distinct ranked words — the main/main null exit above — so
-    /// the `count` skipped interactions are credited to the main/main
+    /// two distinct ranked words — the kernel's null exit — so the
+    /// `count` skipped interactions are credited to the main/main
     /// dispatch counter, as the kernel would have credited them.
-    ///
-    /// `n = 2` never certifies: that population runs the scalar
-    /// fallback, which does not count the dispatch mix.
     fn certify_silent(&self, words: &[PackedState], count: u64) -> bool {
         let n = self.params.n();
-        if n == 2 {
-            return false;
-        }
         let mut seen = vec![0u64; n / 64 + 1];
         for w in words {
             let rank = w.0 >> A_SHIFT;
@@ -335,61 +342,61 @@ impl BatchedProtocol for StableRanking {
 mod tests {
     use super::*;
     use crate::params::Params;
-    use crate::stable::state::{MainKind, StableState, UnRole, UnState};
+    use crate::stable::state::{MainKind, UnRole, UnState};
     use leader_election::fast::FastLeState;
-    use population::{CursorSource, Packed, Protocol, Schedule};
+    use population::{CursorSource, Packed, Protocol, ScalarBlock, Schedule};
 
     fn protocol(n: usize) -> StableRanking {
         StableRanking::new(Params::new(n))
     }
 
-    /// The branchless lottery word step must agree with
-    /// `FastLe::step_bits` (and the dispatcher built on it) over the
-    /// full elect state space × both responder coins.
+    /// The branchless lottery word step must agree with the enum
+    /// dispatcher (`FastLe::step` inside `transition`) over the full
+    /// elect state space — all four `(leaderDone, isLeader)` flag
+    /// combinations — × both coins of both agents.
     #[test]
     fn elect_step_word_matches_the_scalar_dispatcher() {
         let p = protocol(64);
         let t = p.tables();
         let half = u64::from(p.fast_le().l_max / 2);
+        let elect = |coin, le_count, coin_count, leader_done, is_leader| {
+            StableState::Un(UnState {
+                coin,
+                role: UnRole::Elect(FastLeState {
+                    le_count,
+                    coin_count,
+                    leader_done,
+                    is_leader,
+                }),
+            })
+        };
+        let flags = [(false, false), (false, true), (true, false), (true, true)];
+        let coins = [(false, false), (false, true), (true, false), (true, true)];
         for le in 0..=p.fast_le().l_max {
             for cc in 0..=p.fast_le().coin_target {
-                for (done, lead) in [(false, false), (true, false), (true, true)] {
-                    for (u_coin, v_coin) in [(false, false), (false, true), (true, false)] {
-                        let state = StableState::Un(UnState {
-                            coin: u_coin,
-                            role: UnRole::Elect(FastLeState {
-                                le_count: le,
-                                coin_count: cc,
-                                leader_done: done,
-                                is_leader: lead,
-                            }),
-                        });
-                        let u = PackedState::pack(&state);
-                        let v = PackedState::elect(
-                            v_coin,
-                            FastLeState {
-                                le_count: 1,
-                                coin_count: 0,
-                                leader_done: true,
-                                is_leader: false,
-                            },
-                        );
-                        let mut su = u;
-                        let mut sv = v;
+                for (done, lead) in flags {
+                    for (u_coin, v_coin) in coins {
+                        let u = elect(u_coin, le, cc, done, lead);
+                        let v = elect(v_coin, 1, 0, true, false);
+                        let (mut su, mut sv) = (u, v);
                         let resets_before = p.resets_triggered();
-                        p.transition_packed(&mut su, &mut sv);
-                        let (nu, reset) = elect_step_word(t, half, u.0, v.0);
-                        assert_eq!(
-                            nu, su.0,
-                            "initiator diverged at le={le} cc={cc} done={done} \
-                             lead={lead} v_coin={v_coin}"
+                        p.transition(&mut su, &mut sv);
+                        let (pu, pv) = (PackedState::pack(&u), PackedState::pack(&v));
+                        let (nu, reset) = elect_step_word(t, half, pu.0, pv.0);
+                        let ctx = format!(
+                            "le={le} cc={cc} done={done} lead={lead} coins={u_coin},{v_coin}"
                         );
+                        assert_eq!(nu, PackedState::pack(&su).0, "initiator diverged at {ctx}");
                         assert_eq!(
                             reset,
                             p.resets_triggered() == resets_before + 1,
-                            "reset flag diverged at le={le} cc={cc} done={done} lead={lead}"
+                            "reset flag diverged at {ctx}"
                         );
-                        assert_eq!(sv.0, v.0 ^ COIN_BIT, "responder must only toggle its coin");
+                        assert_eq!(
+                            PackedState::pack(&sv).0,
+                            pv.0 ^ COIN_BIT,
+                            "responder must only toggle its coin at {ctx}"
+                        );
                     }
                 }
             }
@@ -434,20 +441,6 @@ mod tests {
         }
     }
 
-    /// The class a pair of loaded words falls into, by the kernel's
-    /// masks: `[reset, both-elect, one-elect, main/main]`.
-    fn class_of(pu: u64, pv: u64) -> usize {
-        if (pu | pv) & TAG_RESET != 0 {
-            0
-        } else if pu & pv & TAG_ELECT != 0 {
-            1
-        } else if (pu | pv) & TAG_ELECT != 0 {
-            2
-        } else {
-            3
-        }
-    }
-
     /// The derived main/main count — what the three counted classes
     /// leave over — equals a per-pair count on crafted blocks that hit
     /// every class, the ranked×ranked duplicate (a main/main pair that
@@ -482,18 +475,17 @@ mod tests {
         ];
         let pairs: Vec<Pair> = pairs.repeat(3);
 
-        // Per-pair reference: classify each pair on the words it meets,
-        // then step it through the scalar packed transition.
+        // Per-pair reference: every pair as its own one-pair block,
+        // whose class the single-pair differential pins to the tag
+        // masks of the two words it meets.
         let reference = protocol(n);
         let mut ref_words = init.clone();
-        let mut per_pair = [0u64; 4];
         let mut duplicate_changed = false;
-        for (k, &(i, j)) in pairs.iter().enumerate() {
-            let (u, v) = pair_mut(&mut ref_words, i as usize, j as usize);
-            per_pair[class_of(u.0, v.0)] += 1;
-            let changed = reference.transition_packed(u, v);
-            duplicate_changed |= k == 1 && changed;
+        for (k, &pair) in pairs.iter().enumerate() {
+            let changed = PackedProtocol::transition_block(&reference, &mut ref_words, &[pair]);
+            duplicate_changed |= k == 1 && changed == 1;
         }
+        let per_pair = reference.dispatch_mix();
         assert!(
             per_pair.iter().all(|&c| c > 0),
             "every class hit: {per_pair:?}"
@@ -501,7 +493,7 @@ mod tests {
         assert!(duplicate_changed, "a duplicate-rank meeting is not null");
 
         let mut words = init;
-        BatchedProtocol::transition_block(&p, &mut words, &pairs);
+        PackedProtocol::transition_block(&p, &mut words, &pairs);
         assert_eq!(words, ref_words);
         assert_eq!(p.dispatch_mix(), per_pair);
         assert_eq!(p.resets_triggered(), reference.resets_triggered());
@@ -522,9 +514,9 @@ mod tests {
         while !population::is_valid_ranking(&fused_words) {
             assert!(total < 50_000_000, "no stabilization within the budget");
             let chunk = 4096;
-            BatchedProtocol::transition_pairs(&fused, &mut fused_words, &mut fused_sched, chunk);
+            PackedProtocol::transition_pairs(&fused, &mut fused_words, &mut fused_sched, chunk);
             for_each_block(&mut sliced_sched, chunk, |pairs| {
-                BatchedProtocol::transition_block(&sliced, &mut sliced_words, pairs)
+                PackedProtocol::transition_block(&sliced, &mut sliced_words, pairs)
             });
             total += chunk as u64;
         }
@@ -535,16 +527,57 @@ mod tests {
         assert_eq!(fused.resets_triggered(), sliced.resets_triggered());
     }
 
-    /// `n = 2` keeps the scalar loop on both paths — no dispatch mix is
-    /// counted — and never certifies, so nothing is skipped.
+    /// `n = 2` runs on the kernel: the fused path, the slice path and
+    /// the scalar reference `ScalarBlock(Packed(..))` end at the same
+    /// words and cursor, and the dispatch mix covers every interaction.
+    /// A legal two-agent population certifies silent, so a burst skips.
     #[test]
-    fn two_agents_stay_on_the_scalar_loop() {
-        let p = Packed(protocol(2));
+    fn two_agents_run_on_the_kernel() {
+        let n = 2;
+        let chunks = [4096, 4096, 4096, 1];
+        let total: usize = chunks.iter().sum();
+        let starts: Vec<Vec<StableState>> = std::iter::once(protocol(n).initial())
+            .chain((0..8).map(|seed| protocol(n).adversarial_uniform(seed)))
+            .collect();
+        for (case, start) in starts.iter().enumerate() {
+            let seed = case as u64;
+            let init = Packed(protocol(n)).pack_all(start);
+            let (fused, sliced) = (protocol(n), protocol(n));
+            let scalar = ScalarBlock(Packed(protocol(n)));
+            let mut words = [init.clone(), init.clone(), init];
+            let mut scheds = [0, 1, 2].map(|_| Schedule::new(n, seed));
+            for chunk in chunks {
+                PackedProtocol::transition_pairs(&fused, &mut words[0], &mut scheds[0], chunk);
+                for_each_block(&mut scheds[1], chunk, |pairs| {
+                    PackedProtocol::transition_block(&sliced, &mut words[1], pairs)
+                });
+                Protocol::transition_pairs(&scalar, &mut words[2], &mut scheds[2], chunk);
+            }
+            assert_eq!(words[0], words[1], "case {case}: fused vs slice");
+            assert_eq!(words[0], words[2], "case {case}: fused vs scalar");
+            assert_eq!(scheds[0].cursor(), scheds[1].cursor(), "case {case}");
+            assert_eq!(scheds[0].cursor(), scheds[2].cursor(), "case {case}");
+            assert_eq!(fused.dispatch_mix(), sliced.dispatch_mix(), "case {case}");
+            assert_eq!(fused.dispatch_mix().iter().sum::<u64>(), total as u64);
+            assert_eq!(fused.resets_triggered(), sliced.resets_triggered());
+            assert_eq!(
+                fused.resets_triggered(),
+                scalar.0.inner().resets_triggered()
+            );
+            if case == 0 {
+                // The clean start is two electors: the deterministic
+                // election in the both-elect arm ran.
+                assert!(fused.dispatch_mix()[1] > 0, "both-elect arm never ran");
+            }
+        }
+
+        let p = Packed(protocol(n));
         let init = p.pack_all(&p.inner().legal());
         let mut sim = population::Simulator::new(p, init, 5);
-        sim.run_batched(3 * 4096 + 1);
-        assert_eq!(sim.protocol().inner().dispatch_mix(), [0; 4]);
-        assert_eq!(sim.protocol().inner().silent_skipped(), 0);
+        sim.run_batched(total as u64);
+        let kernel = sim.protocol().inner();
+        assert!(kernel.silent_skipped() > 0, "a legal pair must certify");
+        assert_eq!(kernel.dispatch_mix(), [0, 0, 0, total as u64]);
     }
 
     /// The dispatch-mix counters account for every kernel-executed pair.

@@ -60,7 +60,7 @@ pub trait WordState: Protocol {
 /// reject-garbage-words guarantee as the structured one.
 impl<P> WordState for crate::Packed<P>
 where
-    P: crate::BatchedProtocol + WordState,
+    P: crate::PackedProtocol + WordState,
 {
     fn state_to_word(&self, state: &P::Packed) -> u64 {
         self.inner().state_to_word(&self.inner().unpack(*state))

@@ -74,8 +74,8 @@
 //!   ([`observe::Unpacked`]) and fault ([`UnpackedHook`]) boundaries.
 //!   The packed path is bit-for-bit trajectory-equivalent to the
 //!   structured one — a pure optimization, exactly like batching.
-//!   Packed protocols may additionally override the per-block seam
-//!   ([`BatchedProtocol`]) with an in-order *block kernel*, and its
+//!   Packed protocols may additionally override the per-block entry
+//!   point of [`PackedProtocol`] with an in-order *block kernel*, and its
 //!   per-chunk twin with a fused one that draws its own pairs;
 //!   [`Packed`] dispatches every chunk and block there, and
 //!   [`ScalarBlock`] forces the scalar reference loop for A/B
@@ -183,9 +183,7 @@ pub use observe::{
 };
 pub use pairs::pair_mut;
 pub use probe::{Membership, NullProbe, Probe};
-pub use protocol::{
-    BatchedProtocol, HonestOutput, Packed, PackedProtocol, Protocol, RankOutput, ScalarBlock,
-};
+pub use protocol::{HonestOutput, Packed, PackedProtocol, Protocol, RankOutput, ScalarBlock};
 pub use schedule::{CursorSource, PairSource, Schedule, ScheduleCursor, SubSchedule};
 pub use sim::{advance_blocks, FaultHook, NoFaults, Simulator, StopReason, UnpackedHook};
 

@@ -53,7 +53,7 @@ pub trait Protocol {
     /// bit-for-bit what `count` calls of
     /// [`step`](crate::Simulator::step) would do. Implementations may
     /// override it with a block kernel (see
-    /// [`BatchedProtocol`] and `StableRanking`'s transition kernel), but
+    /// [`PackedProtocol`] and `StableRanking`'s transition kernel), but
     /// must preserve exact trajectory equivalence with the scalar loop —
     /// including when `pairs` repeats an agent index, where the later
     /// pair must observe the earlier pair's writes.
@@ -148,15 +148,27 @@ pub trait Protocol {
 /// * [`transition_packed`](PackedProtocol::transition_packed) commutes
 ///   with the codec: packing, stepping packed, and unpacking yields
 ///   exactly what [`Protocol::transition`] yields — bit-for-bit, so the
-///   packed path is a pure optimization exactly like the batched loop.
+///   packed path is a pure optimization exactly like the batched loop;
+/// * the block, chunk and certificate entry points are bit-for-bit the
+///   [`transition_packed`](PackedProtocol::transition_packed) loop over
+///   the pairs in draw order — including when a block repeats an agent,
+///   where the later pair must observe the earlier pair's writes. Their
+///   defaults are exactly that loop (and a certificate that never
+///   certifies); an implementation may override them with an in-order
+///   block kernel, as `StableRanking` does.
 ///
 /// Run a protocol packed by wrapping it in [`Packed`], which implements
 /// [`Protocol`] over the packed words: the simulator then stores the
-/// population as a flat `Vec` of words (structure-of-arrays layout) and
-/// never unpacks on the hot path. Observation and fault injection
-/// unpack only at their boundaries — see
+/// population as a flat `Vec` of words (structure-of-arrays layout),
+/// never unpacks on the hot path, and hands every block and chunk to
+/// the protocol's own entry points
+/// ([`Simulator::run_batched`](crate::Simulator::run_batched),
+/// `run_faulted`, the sharded intra-phase lanes). Observation and fault
+/// injection unpack only at their boundaries — see
 /// [`observe::Unpacked`](crate::observe::Unpacked) and
-/// [`UnpackedHook`](crate::UnpackedHook).
+/// [`UnpackedHook`](crate::UnpackedHook). To run a packed protocol
+/// *without* its kernel (A/B benchmarking, differential tests), wrap it
+/// in [`ScalarBlock`].
 pub trait PackedProtocol: Protocol {
     /// The packed word type (typically a `#[repr(transparent)]` wrapper
     /// over `u64`).
@@ -172,36 +184,7 @@ pub trait PackedProtocol: Protocol {
     /// trajectory-equivalent to [`Protocol::transition`] through the
     /// codec. Returns `true` iff either word changed.
     fn transition_packed(&self, u: &mut Self::Packed, v: &mut Self::Packed) -> bool;
-}
 
-/// The block-kernel seam: a [`PackedProtocol`] that can execute a whole
-/// schedule block of interactions over the flat word array in one call.
-///
-/// Running pair-at-a-time, every interaction pays the full dispatch
-/// cost — role classification branches, hazard-free but serialized
-/// loads — and the branch predictor sees an unpredictable interleaving
-/// of transition classes. A block kernel instead *gathers* the words
-/// for a block of pairs, classifies every pair with branchless mask
-/// tests, partitions the block into per-class lanes, and runs each lane
-/// as a tight uniform loop (see `StableRanking`'s
-/// `ranking::stable::kernel`). [`Packed`] routes
-/// [`Protocol::transition_block`] here, so a packed simulation picks up
-/// the kernel automatically wherever blocks are executed
-/// ([`Simulator::run_batched`](crate::Simulator::run_batched),
-/// `run_faulted`, the sharded intra-phase lanes).
-///
-/// The contract is exact trajectory equivalence: the override must be
-/// bit-for-bit equal to running
-/// [`transition_packed`](PackedProtocol::transition_packed) over the
-/// pairs in draw order — including *intra-block hazards*, where a pair
-/// touches an agent an earlier pair in the same block also touched and
-/// must observe its writes (kernels split the block at such conflicts).
-/// The provided default is exactly that scalar loop, so
-/// `impl BatchedProtocol for X {}` is always a correct starting point.
-///
-/// To run a packed protocol *without* its kernel (A/B benchmarking,
-/// differential tests), wrap it in [`ScalarBlock`].
-pub trait BatchedProtocol: PackedProtocol {
     /// Apply a whole block of scheduled `pairs` to the packed `words`,
     /// in draw order; returns the number of word-changing interactions.
     /// Must be bit-for-bit trajectory-equivalent to the scalar
@@ -219,7 +202,7 @@ pub trait BatchedProtocol: PackedProtocol {
     /// The chunk entry point over packed words — the twin [`Packed`]
     /// forwards [`Protocol::transition_pairs`] to, with the same
     /// contract. The default is the slice loop through
-    /// [`transition_block`](BatchedProtocol::transition_block).
+    /// [`transition_block`](PackedProtocol::transition_block).
     fn transition_pairs<S: PairSource + ?Sized>(
         &self,
         words: &mut [Self::Packed],
@@ -227,7 +210,7 @@ pub trait BatchedProtocol: PackedProtocol {
         count: usize,
     ) -> u64 {
         for_each_block(source, count, |pairs| {
-            BatchedProtocol::transition_block(self, words, pairs)
+            PackedProtocol::transition_block(self, words, pairs)
         })
     }
 
@@ -241,9 +224,10 @@ pub trait BatchedProtocol: PackedProtocol {
 }
 
 /// Adapter running a [`PackedProtocol`] over its packed words: the
-/// simulator's state vector becomes a flat `Vec<P::Packed>` and every
+/// simulator's state vector becomes a flat `Vec<P::Packed>`, every
 /// interaction dispatches to
-/// [`transition_packed`](PackedProtocol::transition_packed).
+/// [`transition_packed`](PackedProtocol::transition_packed), and every
+/// block and chunk to the protocol's packed entry points.
 ///
 /// ```ignore
 /// let protocol = Packed(StableRanking::new(Params::new(n)));
@@ -272,7 +256,7 @@ impl<P: PackedProtocol> Packed<P> {
     }
 }
 
-impl<P: BatchedProtocol> Protocol for Packed<P> {
+impl<P: PackedProtocol> Protocol for Packed<P> {
     type State = P::Packed;
 
     fn n(&self) -> usize {
@@ -284,11 +268,11 @@ impl<P: BatchedProtocol> Protocol for Packed<P> {
     }
 
     fn transition_block(&self, states: &mut [Self::State], pairs: &[Pair]) -> u64 {
-        // UFCS: both `Protocol` and `BatchedProtocol` name a
+        // UFCS: both `Protocol` and `PackedProtocol` name a
         // `transition_block`, and here they operate on the same word
         // type — this is the dispatch point that hands blocks to the
         // protocol's kernel (or the scalar default).
-        BatchedProtocol::transition_block(&self.0, states, pairs)
+        PackedProtocol::transition_block(&self.0, states, pairs)
     }
 
     fn transition_pairs<S: PairSource + ?Sized>(
@@ -297,16 +281,16 @@ impl<P: BatchedProtocol> Protocol for Packed<P> {
         source: &mut S,
         count: usize,
     ) -> u64 {
-        BatchedProtocol::transition_pairs(&self.0, states, source, count)
+        PackedProtocol::transition_pairs(&self.0, states, source, count)
     }
 
     fn certify_silent(&self, states: &[Self::State], count: u64) -> bool {
-        BatchedProtocol::certify_silent(&self.0, states, count)
+        PackedProtocol::certify_silent(&self.0, states, count)
     }
 }
 
 /// Adapter forcing the default *scalar* block path for a protocol,
-/// bypassing any [`BatchedProtocol`] kernel it may have.
+/// bypassing any block kernel its [`PackedProtocol`] entry points run.
 ///
 /// `ScalarBlock(Packed(p))` runs the packed representation with the
 /// pair-at-a-time reference loop — the A/B twin of `Packed(p)` (which

@@ -3,7 +3,7 @@ use crate::engine::{drive, Engine, Framed, NoPoll, Watch};
 use crate::observe::{Convergence, Observer, Sampler};
 use crate::pairs::pair_mut;
 use crate::probe::{NullProbe, Probe};
-use crate::protocol::{BatchedProtocol, Packed, Protocol};
+use crate::protocol::{Packed, PackedProtocol, Protocol};
 use crate::schedule::{CursorSource, PairSource, Schedule, BLOCK_PAIRS};
 
 /// Why a bounded run stopped.
@@ -107,7 +107,7 @@ impl<H> UnpackedHook<H> {
     }
 }
 
-impl<P: BatchedProtocol, H: FaultHook<P>> FaultHook<Packed<P>> for UnpackedHook<H> {
+impl<P: PackedProtocol, H: FaultHook<P>> FaultHook<Packed<P>> for UnpackedHook<H> {
     fn next_fire(&mut self, now: u64) -> Option<u64> {
         self.inner.next_fire(now)
     }
@@ -125,7 +125,7 @@ impl<P: BatchedProtocol, H: FaultHook<P>> FaultHook<Packed<P>> for UnpackedHook<
 /// ([`ScalarBlock`](crate::ScalarBlock)`<`[`Packed`]`<P>>`), so the
 /// kernel differential tests can run identical fault plans against both
 /// block paths.
-impl<P: BatchedProtocol, H: FaultHook<P>> FaultHook<crate::ScalarBlock<Packed<P>>>
+impl<P: PackedProtocol, H: FaultHook<P>> FaultHook<crate::ScalarBlock<Packed<P>>>
     for UnpackedHook<H>
 {
     fn next_fire(&mut self, now: u64) -> Option<u64> {
@@ -269,8 +269,8 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
     /// [`Protocol::transition_pairs`](Protocol::transition_pairs). For
     /// plain protocols that pre-samples the chunk and runs the
     /// copy-free scalar loop over it (split-borrow via [`pair_mut`], no
-    /// per-pair clones); packed protocols with a
-    /// [`BatchedProtocol`](crate::BatchedProtocol) kernel (e.g.
+    /// per-pair clones); packed protocols with a block kernel behind
+    /// their [`PackedProtocol`](crate::PackedProtocol) entry points (e.g.
     /// `StableRanking`) run the chunk through their in-order kernel
     /// instead, drawing each pair straight from the schedule — same
     /// trajectory bit for bit. Null interactions dirty no cache lines

@@ -17,75 +17,15 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use silent_ranking::leader_election::fast::{FastLe, FastLeState};
 use silent_ranking::population::observe::{Convergence, Unpacked};
 use silent_ranking::population::{is_valid_ranking, Packed, Simulator, UnpackedHook};
-use silent_ranking::ranking::stable::state::{MainKind, UnRole, UnState};
+use silent_ranking::ranking::audit::enumerate_states;
 use silent_ranking::ranking::stable::{PackedState, StableRanking, StableState};
 use silent_ranking::ranking::Params;
 use silent_ranking::scenarios::{ranking_faults, FaultPlan};
 
 fn protocol(n: usize) -> StableRanking {
     StableRanking::new(Params::new(n))
-}
-
-/// The full valid state space for `params` — the same enumeration the
-/// `encode_is_injective_over_representative_states` audit walks.
-fn enumerate_states(p: &Params) -> Vec<StableState> {
-    let fast = FastLe::for_n(p.n(), p.c_live());
-    let mut states = Vec::new();
-    for r in 1..=p.n() as u64 {
-        states.push(StableState::Ranked(r));
-    }
-    for coin in [false, true] {
-        for rc in 0..=p.r_max() {
-            for dc in 0..=p.d_max() {
-                states.push(StableState::Un(UnState {
-                    coin,
-                    role: UnRole::Reset {
-                        reset_count: rc,
-                        delay_count: dc,
-                    },
-                }));
-            }
-        }
-        for lc in 0..=fast.l_max {
-            for cc in 0..=fast.coin_target {
-                for (done, lead) in [(false, false), (true, false), (true, true)] {
-                    states.push(StableState::Un(UnState {
-                        coin,
-                        role: UnRole::Elect(FastLeState {
-                            le_count: lc,
-                            coin_count: cc,
-                            leader_done: done,
-                            is_leader: lead,
-                        }),
-                    }));
-                }
-            }
-        }
-        for alive in 0..=p.l_max() {
-            for w in 1..=p.wait_max() {
-                states.push(StableState::Un(UnState {
-                    coin,
-                    role: UnRole::Main {
-                        alive,
-                        kind: MainKind::Waiting(w),
-                    },
-                }));
-            }
-            for k in 1..=p.coin_target() {
-                states.push(StableState::Un(UnState {
-                    coin,
-                    role: UnRole::Main {
-                        alive,
-                        kind: MainKind::Phase(k),
-                    },
-                }));
-            }
-        }
-    }
-    states
 }
 
 #[test]
@@ -310,14 +250,14 @@ proptest! {
 // ---------------------------------------------------------------------
 // Block-kernel differentials (ISSUE 6): `Packed<StableRanking>` routes
 // whole blocks through the `ranking::stable::kernel` implementation of
-// `BatchedProtocol::transition_block`; `ScalarBlock<Packed<_>>` forces
+// `PackedProtocol::transition_block`; `ScalarBlock<Packed<_>>` forces
 // the pair-at-a-time reference loop over the same words. The two must
 // be bit-for-bit trajectory twins — same words, same interaction
 // counters, same reset instrumentation — or the kernel's throughput
 // rows would describe a different protocol.
 
 use silent_ranking::population::schedule::Pair;
-use silent_ranking::population::{BatchedProtocol, PackedProtocol, ScalarBlock};
+use silent_ranking::population::{PackedProtocol, ScalarBlock};
 
 /// Run the ScalarBlock reference in `chunk`-sized `run_batched` calls
 /// against a single-shot kernel run and assert exact agreement.
@@ -355,17 +295,12 @@ fn assert_kernel_equivalent(n: usize, config_seed: u64, seed: u64, total: u64, c
         kernel_sim.protocol().inner().resets_triggered(),
         "kernel reset instrumentation diverged (n={n}, seed={seed})"
     );
-    // The kernel delegates n == 2 populations to the scalar dispatcher
-    // (every pair hits the same two agents), which does not count class
-    // hits — the mix accounting contract starts at n = 3.
-    if n > 2 {
-        let mix = kernel_sim.protocol().inner().dispatch_mix();
-        assert_eq!(
-            mix.iter().sum::<u64>(),
-            total,
-            "kernel dispatch mix must account for every interaction"
-        );
-    }
+    let mix = kernel_sim.protocol().inner().dispatch_mix();
+    assert_eq!(
+        mix.iter().sum::<u64>(),
+        total,
+        "kernel dispatch mix must account for every interaction"
+    );
 }
 
 #[test]
@@ -406,7 +341,7 @@ fn kernel_transition_block_handles_repeated_agents_like_the_scalar_loop() {
         let kernel = Packed(protocol(n));
         let mut kernel_words = make_words(&kernel);
         let kernel_changed =
-            BatchedProtocol::transition_block(kernel.inner(), &mut kernel_words, &pairs);
+            PackedProtocol::transition_block(kernel.inner(), &mut kernel_words, &pairs);
 
         let reference = Packed(protocol(n));
         let mut ref_words = make_words(&reference);
@@ -754,9 +689,7 @@ proptest! {
         prop_assert_eq!(fused.blocks.last().map(|&(t, _)| t), Some(total));
         prop_assert_eq!(fused.saved.len() as u64, total / save_every);
         prop_assert!(!fused.fired.is_empty());
-        if n > 2 {
-            prop_assert_eq!(fused.mix.iter().sum::<u64>(), total);
-        }
+        prop_assert_eq!(fused.mix.iter().sum::<u64>(), total);
         prop_assert_eq!(fused, sliced);
     }
 }

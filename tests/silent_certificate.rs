@@ -19,7 +19,8 @@ use rand::{RngExt, SeedableRng};
 
 use silent_ranking::population::schedule::BLOCK_PAIRS;
 use silent_ranking::population::silence::is_silent;
-use silent_ranking::population::{BatchedProtocol, Packed, PackedProtocol, PairSource, Protocol};
+use silent_ranking::population::{Packed, PackedProtocol, PairSource, Protocol};
+use silent_ranking::ranking::audit::shape_sizes;
 use silent_ranking::ranking::stable::state::{MainKind, UnRole, UnState};
 use silent_ranking::ranking::stable::{PackedState, StableRanking, StableState};
 use silent_ranking::ranking::Params;
@@ -27,31 +28,6 @@ use silent_ranking::scenarios::{
     ranking_faults, BiasedSchedule, ClusteredSchedule, Fault, RoundRobinSchedule,
 };
 use silent_ranking::topology::{GraphSchedule, TopologySpec};
-
-/// The population sizes at which some derived parameter — phase count,
-/// `l_max`, `r_max`, `d_max`, `wait_max` — steps, over `n ∈ 3..=300`:
-/// the first and last size of every distinct shape.
-fn shapes() -> Vec<usize> {
-    let shape = |n: usize| {
-        let p = Params::new(n);
-        (
-            p.fseq().kmax(),
-            p.l_max(),
-            p.r_max(),
-            p.d_max(),
-            p.wait_max(),
-        )
-    };
-    let mut sizes = vec![3];
-    for n in 4..=300 {
-        if shape(n) != shape(n - 1) {
-            sizes.extend([n - 1, n]);
-        }
-    }
-    sizes.push(300);
-    sizes.dedup();
-    sizes
-}
 
 /// Fresh counters: `[dispatch mix…, resets, silent_skipped]`.
 fn counters(p: &StableRanking) -> [u64; 6] {
@@ -71,7 +47,7 @@ fn counters(p: &StableRanking) -> [u64; 6] {
 /// paths; the kernel counts each pair as main/main and nothing else.
 #[test]
 fn ranked_pairs_with_distinct_ranks_are_null_on_every_path() {
-    let shapes = shapes();
+    let shapes = shape_sizes(2..=300);
     assert!(shapes.len() >= 8, "too few shapes: {shapes:?}");
     for n in shapes {
         let ranks: Vec<u64> = (0..=n as u64 + 2).chain([1 << 40]).collect();
@@ -101,7 +77,7 @@ fn ranked_pairs_with_distinct_ranks_are_null_on_every_path() {
             .collect();
         let changed: u64 = pairs
             .chunks(BLOCK_PAIRS)
-            .map(|block| BatchedProtocol::transition_block(&kernel, &mut words, block))
+            .map(|block| PackedProtocol::transition_block(&kernel, &mut words, block))
             .sum();
         assert_eq!(changed, 0, "n={n}: kernel reported a change");
         assert_eq!(words, init, "n={n}: kernel changed a word");
@@ -139,7 +115,7 @@ proptest! {
     /// `count` main/main skips, a refusal counts nothing; and every
     /// permutation of ranks is certified.
     #[test]
-    fn certificate_implies_silence(n in 3usize..=10, kind in 0u8..4, seed in 0u64..1_000_000) {
+    fn certificate_implies_silence(n in 2usize..=10, kind in 0u8..4, seed in 0u64..1_000_000) {
         let p = StableRanking::new(Params::new(n));
         let mut rng = SmallRng::seed_from_u64(seed);
         let states = match kind {
@@ -224,10 +200,13 @@ fn certificate_rejects_every_single_defect() {
     let mut words = packed.pack_all(&legal);
     words[0] = PackedState(words[0].0 | 1 << 4);
     assert!(!packed.certify_silent(&words, 1 << 20));
-    // n = 2 runs the kernel's scalar fallback, which counts no dispatch
-    // mix, so a legal two-agent population is never certified.
+    // n = 2 runs on the kernel like every other size: a legal two-agent
+    // population certifies.
     let two = StableRanking::new(Params::new(2));
-    assert_eq!(certify(2, &two.legal(), 1 << 20), (false, [0; 6]));
+    assert_eq!(
+        certify(2, &two.legal(), 1 << 20),
+        (true, [0, 0, 0, 1 << 20, 0, 1 << 20])
+    );
 }
 
 /// `skip(k)` followed by `m` draws yields the last `m` of `k + m` draws.
