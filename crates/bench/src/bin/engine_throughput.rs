@@ -16,8 +16,11 @@
 //!   body, without the null-first exit or the per-chunk flush;
 //! * `StableRanking` through its block transition kernel
 //!   (`Packed<StableRanking>`, see `ranking::stable::kernel`): whole
-//!   schedule blocks walked in one in-order pass — the null-first exit,
-//!   then the same per-pair body, with the counters flushed once per
+//!   schedule blocks walked in one in-order pass — the null-first exit
+//!   (`PackedState::is_null_pair`: every pair Protocol 3 leaves
+//!   unchanged, i.e. a ranked responder met by a ranked initiator of
+//!   another rank or by a waiting or phase initiator, is skipped), then
+//!   the same per-pair body, with the counters flushed once per
 //!   chunk. The kernel rows
 //!   also record the *dispatch mix* — the fraction of interactions
 //!   each transition class executed — so a throughput shift can be
@@ -26,11 +29,11 @@
 //!   (`stable_ranking_silent` / `stable_ranking_kernel_silent`): a
 //!   fully ranked population is silent, every meeting is a
 //!   ranked×ranked null pair, and a stabilized simulation spends all
-//!   further interactions there — the regime the kernel's null fast
-//!   path targets. `run_batched` would not execute those pairs at all
-//!   (it certifies the configuration silent and jumps the pair stream
-//!   past the burst), so these two rows time their batched column with
-//!   a bench-local copy of the faithful block loop: one
+//!   further interactions there — the regime where the kernel's null
+//!   exit takes every pair. `run_batched` would not execute those pairs
+//!   at all (it certifies the configuration silent and jumps the pair
+//!   stream past the burst), so these two rows time their batched
+//!   column with a bench-local copy of the faithful block loop: one
 //!   `Protocol::transition_pairs` call per chunk on the uniform
 //!   `Schedule`, exactly as the engine makes it — the kernel row
 //!   therefore times the *fused* path, where each pair is run as it is
@@ -64,9 +67,11 @@
 //! workload, at least `silent_floor=` (default 1.05) times it on
 //! the converged workload (the two rows run the same per-pair body, so
 //! these two floors measure exactly the kernel's null-first exit and
-//! per-chunk flush), that the best paired fused/slices ratio on
-//! the converged workload reaches `FUSED_FLOOR` (1.05, fixed), that the
-//! best paired null-probe ratio reaches `probe_floor=` (default 0.95),
+//! per-chunk flush; on the transient the exit also skips the waiting
+//! and phase initiators that meet a ranked responder), that the best
+//! paired fused/slices ratio on the converged workload reaches
+//! `FUSED_FLOOR` (1.05, fixed), that the best paired null-probe ratio
+//! reaches `probe_floor=` (default 0.95),
 //! and that the fast-forward row ends bit-identical (words and
 //! scheduler cursor) to the faithful kernel silent row — the CI
 //! throughput smoke.

@@ -17,7 +17,7 @@
 //!        │                               │  RNG (fused, transition_pairs) or read
 //!        │                               │  from a sample_block slice
 //!        │                               ▼  (transition_block)
-//!        │                         null first: (u|v) & TAG_MASK == 0 && u != v
+//!        │                         null first: PackedState::is_null_pair(u, v)
 //!        │                               │  → next pair: no borrow, no store
 //!        ▼                               ▼
 //!  step_pair: classify the two words by their tag masks
@@ -34,20 +34,26 @@
 //!
 //! What the kernel adds around the body:
 //!
-//! * **null first**: two distinct ranked agents are a null pair —
-//!   detected with one mask test on the two words loaded by value,
-//!   before the split borrow, the class chain or any counter. A
-//!   converged population takes this exit on essentially every
-//!   interaction, and so does most of a stabilization run: at
-//!   `n = 512` the last few unranked agents take the bulk of the
-//!   Theorem 2 time, and ~93% of all pairs meet two ranked agents. The
-//!   main/main counter is therefore not bumped per pair; every pair is
-//!   in exactly one class, so the flush derives it as the chunk's pair
-//!   count minus the three counted classes. A ranked×ranked *duplicate*
-//!   (two agents holding one rank) is not null: it falls through to
-//!   Ranking⁺, which resolves it. `transition_packed` has no such exit:
-//!   a null pair runs through Ranking⁺, which leaves it unchanged, so
-//!   `ScalarBlock(Packed(..))` measures the body without the exit.
+//! * **null first**: every pair Protocol 3 leaves unchanged is
+//!   skipped — detected by [`PackedState::is_null_pair`], three mask
+//!   tests on the two words loaded by value, before the split borrow,
+//!   the class chain or any counter. The null pairs are exactly those
+//!   whose responder is ranked and whose initiator is waiting, phase,
+//!   or ranked with another rank (proven on the full state space by
+//!   `crates/core/tests/null_pair_exact.rs`). A converged population
+//!   takes this exit on every interaction, and so does most of a run:
+//!   on the `stabilize` workload (`n = 512`, where the last few
+//!   unranked agents take the bulk of the Theorem 2 time) 95.6% of all
+//!   pairs are null, and on `churn` (`n = 256`, where arrivals and
+//!   reset waves keep phase agents in the population) 80%. Every null
+//!   pair is main/main, so the main/main counter is not bumped per
+//!   pair; every pair is in exactly one class, so the flush derives it
+//!   as the chunk's pair count minus the three counted classes. A
+//!   ranked×ranked *duplicate* (two agents holding one rank) is not
+//!   null: it falls through to Ranking⁺, which resolves it.
+//!   `transition_packed` has no such exit: a null pair runs through
+//!   Ranking⁺, which leaves it unchanged, so `ScalarBlock(Packed(..))`
+//!   measures the body without the exit.
 //! * **fused draw**: on the uniform `Schedule` the engine's chunk
 //!   reaches the kernel through
 //!   [`transition_pairs`](PackedProtocol::transition_pairs), which
@@ -230,16 +236,16 @@ impl StableRanking {
 
         for (i, j) in pairs {
             let (i, j) = (i as usize, j as usize);
-            let (pu, pv) = (words[i].0, words[j].0);
-            // Null first: two distinct ranked words (no tag bit set)
-            // meet without a state change, no coin to toggle, no store.
-            if (pu | pv) & TAG_MASK == 0 && pu != pv {
+            let (pu, pv) = (words[i], words[j]);
+            // Null first: a pair Protocol 3 leaves unchanged changes no
+            // state, toggles no coin and stores nothing.
+            if PackedState::is_null_pair(pu, pv) {
                 continue;
             }
             let (u, v) = pair_mut(words, i, j);
             step_pair(h, u, v, &mut tally);
             // A non-shortcircuit compare against the loaded words.
-            changed += u64::from((u.0 != pu) | (v.0 != pv));
+            changed += u64::from((*u != pu) | (*v != pv));
         }
 
         // Flush to the metrics registry: one relaxed RMW per counter per
@@ -470,7 +476,7 @@ mod tests {
             (2, 8),   // reset-involved
             (3, 4),   // both electing
             (9, 3),   // one electing
-            (5, 10),  // unranked main × ranked
+            (5, 10),  // waiting × ranked: null
             (11, 12), // null again
         ];
         let pairs: Vec<Pair> = pairs.repeat(3);

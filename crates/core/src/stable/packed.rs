@@ -181,6 +181,28 @@ impl PackedState {
         self.0 & TAG_MAIN_UN != 0
     }
 
+    /// Does Protocol 3 leave the ordered pair (initiator `u`, responder
+    /// `v`) unchanged? Exactly when the responder is ranked, the
+    /// initiator is ranked, waiting or phase, and the two words differ:
+    ///
+    /// * Ranking⁺ lines 1–11 act only on two ranked agents holding one
+    ///   rank, on two waiting agents, or on an unranked responder;
+    /// * lines 12–18 and the coin toggle (lines 9–10) read or write the
+    ///   responder's coin, which a ranked responder does not have;
+    /// * a resetting or electing initiator always moves something.
+    ///
+    /// Three mask tests on the two words. The block kernel skips such a
+    /// pair before it classifies it. `crates/core/tests/null_pair_exact.rs`
+    /// checks, over every ordered pair of the full state space at every
+    /// `Params` shape up to `n = 64`, that this holds in both
+    /// directions: the predicate accepts a pair iff the enum
+    /// [`transition`](population::Protocol::transition) leaves it as it
+    /// was.
+    #[inline(always)]
+    pub fn is_null_pair(u: Self, v: Self) -> bool {
+        v.0 & TAG_MASK == 0 && u.0 & (TAG_RESET | TAG_ELECT) == 0 && u != v
+    }
+
     /// Toggle the synthetic coin (Protocol 3 lines 9–10; callers must
     /// ensure the word is unranked).
     #[inline]

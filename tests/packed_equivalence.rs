@@ -20,6 +20,7 @@ use proptest::prelude::*;
 use silent_ranking::population::observe::{Convergence, Unpacked};
 use silent_ranking::population::{is_valid_ranking, Packed, Simulator, UnpackedHook};
 use silent_ranking::ranking::audit::enumerate_states;
+use silent_ranking::ranking::stable::state::{MainKind, UnRole, UnState};
 use silent_ranking::ranking::stable::{PackedState, StableRanking, StableState};
 use silent_ranking::ranking::Params;
 use silent_ranking::scenarios::{ranking_faults, FaultPlan};
@@ -547,9 +548,21 @@ fn play<P: Protocol, S: PairSource>(sim: &mut Simulator<P, S>, ops: &[Op]) -> Ve
 const FUSED_SIZES: [usize; 6] = [2, 3, 4, 17, 64, 512];
 
 fn assert_fused_equals_sliced(n: usize, config_seed: u64, seed: u64, buffered: usize, ops: &[Op]) {
+    let start = protocol(n).adversarial_uniform(config_seed);
+    let ctx = format!("config_seed={config_seed}");
+    assert_paths_agree(&start, seed, buffered, ops, &ctx);
+}
+
+/// The fused kernel, the slice kernel (`Sliced`) and the scalar
+/// reference `ScalarBlock(Packed(..))`, each run from `start`, end at
+/// the same words, interactions and cursor, report the same probe
+/// blocks (the per-block `changed` sequence) and the same resets; the
+/// two kernel paths also count the same dispatch mix.
+fn assert_paths_agree(start: &[StableState], seed: u64, buffered: usize, ops: &[Op], ctx: &str) {
+    let n = start.len();
     let make = || {
         let p = Packed(protocol(n));
-        let init = p.pack_all(&p.inner().adversarial_uniform(config_seed));
+        let init = p.pack_all(start);
         (p, init)
     };
     let (p, init) = make();
@@ -565,7 +578,7 @@ fn assert_fused_equals_sliced(n: usize, config_seed: u64, seed: u64, buffered: u
         Simulator::with_source(ScalarBlock(p), init, buffered_schedule(n, seed, buffered));
     let scalar_log = play(&mut scalar, ops);
 
-    let ctx = format!("n={n} config_seed={config_seed} seed={seed} buffered={buffered} {ops:?}");
+    let ctx = format!("n={n} {ctx} seed={seed} buffered={buffered} {ops:?}");
     assert_eq!(fused.states(), sliced.states(), "{ctx}");
     assert_eq!(fused.states(), scalar.states(), "{ctx}");
     assert_eq!(fused.interactions(), sliced.interactions(), "{ctx}");
@@ -585,20 +598,68 @@ fn assert_fused_equals_sliced(n: usize, config_seed: u64, seed: u64, buffered: u
     );
 }
 
-#[test]
-fn fused_equals_sliced_on_every_size_and_burst_edge() {
+/// Probed bursts of 1, `BLOCK_PAIRS ± 1`, `BLOCK_PAIRS` and a
+/// multi-block tail, each after three scalar steps.
+fn burst_edges() -> Vec<Op> {
     let b = BLOCK_PAIRS as u64;
-    let edges: Vec<Op> = [1, b - 1, b, b + 1, 3 * b + 7]
+    [1, b - 1, b, b + 1, 3 * b + 7]
         .into_iter()
         .map(|burst| Op {
             steps: 3,
             burst,
             probed: true,
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn fused_equals_sliced_on_every_size_and_burst_edge() {
+    let edges = burst_edges();
     for n in FUSED_SIZES {
         for buffered in [0, 1, BLOCK_PAIRS - 1, BLOCK_PAIRS + 5] {
             assert_fused_equals_sliced(n, 3, 7, buffered, &edges);
+        }
+    }
+}
+
+/// `legal()` at `n` with `k` agents, picked at random, rewritten to
+/// random phase or waiting words: the regime where the kernel's null
+/// exit skips {waiting, phase} → ranked pairs as well as ranked →
+/// ranked ones.
+fn legal_with_main_agents(n: usize, k: usize, seed: u64) -> Vec<StableState> {
+    let p = protocol(n);
+    let params = p.params();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut states = p.legal();
+    let mut agents: Vec<usize> = (0..n).collect();
+    for i in 0..k {
+        agents.swap(i, rng.random_range(i..n));
+        let kind = if rng.random_range(0..2u32) == 0 {
+            MainKind::Waiting(rng.random_range(1..=params.wait_max()))
+        } else {
+            MainKind::Phase(rng.random_range(1..=params.coin_target()))
+        };
+        states[agents[i]] = StableState::Un(UnState {
+            coin: rng.random_range(0..2u32) == 0,
+            role: UnRole::Main {
+                alive: rng.random_range(0..=params.l_max()),
+                kind,
+            },
+        });
+    }
+    states
+}
+
+#[test]
+fn fused_equals_sliced_with_unranked_main_agents_among_ranked_ones() {
+    let edges = burst_edges();
+    for n in [17usize, 64, 256] {
+        for k in [1, 8, n / 4] {
+            let seed = (n * 31 + k) as u64;
+            let start = legal_with_main_agents(n, k, seed);
+            for buffered in [0, BLOCK_PAIRS - 1] {
+                assert_paths_agree(&start, seed, buffered, &edges, &format!("k={k}"));
+            }
         }
     }
 }

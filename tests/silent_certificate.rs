@@ -5,12 +5,23 @@
 //! 1. **Soundness of the null exit** — for every `Params` shape, two
 //!    ranked agents with distinct ranks (in range or not) are a null
 //!    pair on the enum path, the scalar packed path and the block
-//!    kernel, and only the kernel's main/main counter moves.
+//!    kernel, and only the kernel's main/main counter moves. The
+//!    kernel's exit also takes waiting and phase initiators meeting a
+//!    ranked responder; `crates/core/tests/null_pair_exact.rs` proves
+//!    on the full state space that the exit takes exactly the null
+//!    pairs.
 //! 2. **Certificate ⇒ silence** — over random, adversarial and
 //!    fault-corrupted configurations, a configuration the certificate
 //!    accepts is silent by the exhaustive `silence::is_silent` check;
 //!    every configuration it must reject is rejected and counts nothing.
-//! 3. **Skip continues the stream** — the default `PairSource::skip`
+//! 3. **Silence ⇒ certificate on Q** — Q is the state space
+//!    `audit::enumerate_states` lists (ranks in `1..=n`). Every null
+//!    pair has a ranked responder, so in a silent configuration every
+//!    agent is ranked and no rank repeats: on Q^n the certificate holds
+//!    exactly when the configuration is silent — exhaustively at
+//!    `n = 2`, by property test at `n = 3..=10`. Outside Q the converse
+//!    fails: distinct ranks above `n` are silent but not certified.
+//! 4. **Skip continues the stream** — the default `PairSource::skip`
 //!    on the adversarial and graph sources lands where drawing does.
 
 use proptest::prelude::*;
@@ -20,7 +31,7 @@ use rand::{RngExt, SeedableRng};
 use silent_ranking::population::schedule::BLOCK_PAIRS;
 use silent_ranking::population::silence::is_silent;
 use silent_ranking::population::{Packed, PackedProtocol, PairSource, Protocol};
-use silent_ranking::ranking::audit::shape_sizes;
+use silent_ranking::ranking::audit::{enumerate_states, shape_sizes};
 use silent_ranking::ranking::stable::state::{MainKind, UnRole, UnState};
 use silent_ranking::ranking::stable::{PackedState, StableRanking, StableState};
 use silent_ranking::ranking::Params;
@@ -145,6 +156,57 @@ proptest! {
         if kind == 1 {
             prop_assert!(certified, "a permutation of ranks must certify");
         }
+    }
+}
+
+/// At `n = 2`, over every configuration in Q²: certified iff silent.
+/// Distinct ranked words with a rank above `n` lie outside Q; they are
+/// silent, and the certificate refuses them.
+#[test]
+fn silence_implies_the_certificate_on_every_configuration_of_q_at_n_2() {
+    let n = 2;
+    let p = StableRanking::new(Params::new(n));
+    let q = enumerate_states(p.params());
+    let mut silent = 0;
+    for a in &q {
+        for b in &q {
+            let states = [*a, *b];
+            let is = is_silent(&p, &states);
+            assert_eq!(certify(n, &states, 1).0, is, "{states:?}");
+            silent += usize::from(is);
+        }
+    }
+    // The two orders of the legal ranking.
+    assert_eq!(silent, 2);
+
+    let outside = [StableState::Ranked(1), StableState::Ranked(n as u64 + 1)];
+    assert!(is_silent(&p, &outside));
+    assert!(!certify(n, &outside, 1).0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+    /// At `n = 3..=10`, on configurations drawn from Q: a shuffled
+    /// legal configuration with `rewrites` agents replaced by states
+    /// drawn uniformly from Q (all `n` of them: a uniform draw from
+    /// Q^n). Certified iff silent.
+    #[test]
+    fn silence_implies_the_certificate_on_q(
+        n in 3usize..=10,
+        rewrites in 0usize..=4,
+        seed in 0u64..1_000_000,
+    ) {
+        let p = StableRanking::new(Params::new(n));
+        let q = enumerate_states(p.params());
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut states = shuffled_legal(&p, &mut rng);
+        let rewrites = if rewrites == 4 { n } else { rewrites };
+        for _ in 0..rewrites {
+            let i = rng.random_range(0..n);
+            states[i] = q[rng.random_range(0..q.len())];
+        }
+        prop_assert_eq!(certify(n, &states, 1).0, is_silent(&p, &states), "{:?}", states);
     }
 }
 
